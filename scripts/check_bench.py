@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Gate machine-readable BENCH_*.json results in CI.
 
-Two schemas are understood, detected from the file contents:
+Four schemas are understood, detected from the file contents:
 
 bench_amg_setup (cases[].setup_ns_per_nnz): the two-pass Galerkin setup
 is linear in nnz, so the per-nonzero setup cost must stay flat as the
@@ -18,12 +18,10 @@ must issue at most --max-sync reductions per iteration and the fused
 multi-value reductions must not change iteration counts by more than
 --max-iter-delta versus one-reduction-per-dot.
 
-bench_amr (cases[].extract_speedup): the hashed mesh extraction must
-beat the per-corner reference by --min-extract-speedup at the largest
-problem size; every case on which no repartition happened must reuse a
-strictly positive fraction of elements via the incremental path
-(> --min-reuse) without falling back; and the reported AMR share of
-the full step time must be finite.
+bench_amr (cases[].extract_speedup): the production mesh extraction
+must beat the per-corner reference by --min-extract-speedup at the
+largest problem size, and the reported AMR share of the full step time
+must be finite.
 
 bench_memory (cases[].bytes_per_dof): accounted memory per dof must not
 grow with refinement level — the paper's memory-per-core-bounded claim.
@@ -112,29 +110,12 @@ def check_amr(data, args) -> int:
         print("check_bench: no amr cases found")
         return 1
     cases.sort(key=lambda c: c["level"])
-    ok = True
     for c in cases:
         print(f"  level {c['level']}: reference "
               f"{c.get('reference_s', 0) * 1e3:.1f} ms, hashed "
               f"{c.get('hashed_s', 0) * 1e3:.1f} ms, speedup "
               f"{c['extract_speedup']:.2f}x "
               f"(elements={c.get('elements', '?')})")
-        if "reuse_fraction" in c:
-            rf = c["reuse_fraction"]
-            repart = c.get("repartitioned", False)
-            fb = c.get("fallback", False)
-            print(f"    incremental: {c.get('incremental_s', 0) * 1e3:.1f} ms,"
-                  f" reuse {rf:.1%}, repartitioned={repart}, fallback={fb}")
-            if not repart:
-                if fb:
-                    print(f"check_bench: FAIL level {c['level']}: incremental "
-                          f"path fell back without a repartition")
-                    ok = False
-                if rf <= args.min_reuse:
-                    print(f"check_bench: FAIL level {c['level']}: reuse "
-                          f"fraction {rf:.3f} not above {args.min_reuse:.3f} "
-                          f"on a non-repartitioning adapt")
-                    ok = False
 
     top = cases[-1]
     verdict = "PASS" if top["extract_speedup"] >= args.min_extract_speedup \
@@ -142,7 +123,7 @@ def check_amr(data, args) -> int:
     print(f"check_bench: level {top['level']} extract speedup = "
           f"{top['extract_speedup']:.2f}x "
           f"(min required {args.min_extract_speedup:.2f}): {verdict}")
-    ok = ok and top["extract_speedup"] >= args.min_extract_speedup
+    ok = top["extract_speedup"] >= args.min_extract_speedup
 
     share = data.get("amr_share")
     if isinstance(share, dict):
@@ -240,9 +221,6 @@ def main() -> int:
     ap.add_argument("--min-extract-speedup", type=float, default=2.0,
                     help="amr: required hashed-vs-reference extraction "
                     "speedup at the largest level")
-    ap.add_argument("--min-reuse", type=float, default=0.0,
-                    help="amr: reuse fraction on non-repartitioning adapts "
-                    "must be strictly above this")
     args = ap.parse_args()
 
     try:

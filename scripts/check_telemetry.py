@@ -10,9 +10,7 @@ JSONL mode (default):
   * "per_level" is a list of non-negative ints summing to "elements",
   * optional "timings" blocks (per-step phase seconds) carry a bool
     "adapted" and non-negative finite phase entries, with the AMR
-    phases (extract in particular) at zero on non-adapting steps, and
-    the extraction reuse statistics, when present, are non-negative
-    counts plus a bool fallback flag,
+    phases (extract in particular) at zero on non-adapting steps,
   * optional "latency" blocks (per-phase histogram quantiles) carry,
     per phase, a positive sample count and quantiles ordered
     p50 <= p95 <= p99 <= max with max <= sum <= count * max,
@@ -183,13 +181,6 @@ def check_timings_block(t, where) -> None:
             if t[key] > 1e-6:
                 fail(f"{where}: timings.{key} = {t[key]} on a "
                      f"non-adapting step")
-    else:
-        for key in ("extract_reused", "extract_recomputed"):
-            if key in t and _num(t, key, where) < 0:
-                fail(f"{where}: timings.{key} is negative")
-        if ("extract_fallback" in t
-                and not isinstance(t["extract_fallback"], bool)):
-            fail(f"{where}: timings.extract_fallback is not a bool")
 
 
 def check_jsonl(path: str, min_records: int) -> None:

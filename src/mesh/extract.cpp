@@ -1,6 +1,6 @@
 // EXTRACTMESH implementations (paper Sec. IV.B).
 //
-// Three entry points share one contract and must produce bit-identical
+// Two entry points share one contract and must produce bit-identical
 // meshes (gids, constraint weights, halo plans):
 //
 //  * extract_mesh_reference — the original per-corner algorithm, kept as
@@ -8,22 +8,17 @@
 //    (node_reps), scans directions linearly, binary-searches the combined
 //    leaf array per candidate neighbor, and re-derives every shared node
 //    up to 8 times.
-//  * extract_mesh — the hashed path: an open-addressing table maps every
-//    node representation to its class once, hanging status and masters
-//    are resolved once per node (they are node properties under face+edge
-//    2:1 balance, see mesh.hpp), and the combined array is searched with
-//    precomputed SFC keys.
-//  * extract_mesh_incremental — the hashed path plus Correspondence-
-//    driven reuse: elements whose closed corner neighborhood contains no
-//    changed octant (local or ghost) copy their corner constraints from
-//    the previous mesh instead of re-deriving them.
+//  * extract_mesh — the production path: an open-addressing table maps
+//    every node representation to its class once, hanging status and
+//    masters are resolved once per node (they are node properties under
+//    face+edge 2:1 balance, see mesh.hpp), and the combined array is
+//    searched with precomputed SFC keys.
 //
-// Master lists are stored sorted by canonical node key in every path.
+// Master lists are stored sorted by canonical node key in both paths.
 // The per-corner enumeration order of the original algorithm depended on
 // which coarse neighbor (and hence which tree frame) detected the
 // constraint; sorting makes the constraint row a pure node property, so
-// two elements sharing a hanging node — and a reused element a timestep
-// later — record identical rows.
+// two elements sharing a hanging node record identical rows.
 
 #include <algorithm>
 #include <cassert>
@@ -208,12 +203,9 @@ Mesh extract_mesh_reference(par::Comm& comm, const forest::Forest& forest,
   m.elements = tree.leaves();
 
   // Local + ghost leaves, sorted, for neighbor-level queries.
-  std::vector<Octant> combined = ghosts;
+  std::vector<Octant> combined = std::move(ghosts);
   combined.insert(combined.end(), tree.leaves().begin(), tree.leaves().end());
   std::sort(combined.begin(), combined.end(), octree::sfc_less);
-  m.ghosts = std::move(ghosts);
-  m.regions = tree.range_begins();
-  m.epoch = 1;
 
   // ---- pass 1: per element corner, find the canonical masters ----------
   // masters_per_corner[e][c]: 1 entry (independent) or 2/4 (hanging).
@@ -450,32 +442,8 @@ class NodeCache {
       e.reps_n = static_cast<std::int16_t>(reps_tmp_.size());
       rep_pool.insert(rep_pool.end(), reps_tmp_.begin(), reps_tmp_.end());
       entries.push_back(e);
-    } else if (entries[static_cast<std::size_t>(id)].reps_n == 0) {
-      // Class was seeded by the reuse path (canonical key only); attach
-      // the representation list now that the BFS has run.
-      NodeEntry& e = entries[static_cast<std::size_t>(id)];
-      e.reps_off = static_cast<std::int32_t>(rep_pool.size());
-      e.reps_n = static_cast<std::int16_t>(reps_tmp_.size());
-      rep_pool.insert(rep_pool.end(), reps_tmp_.begin(), reps_tmp_.end());
     }
     for (const NodeKey& r : reps_tmp_) put_if_absent(r, id);
-    return id;
-  }
-
-  /// Class id of a key known to be canonical, carried over from a
-  /// previous mesh together with its boundary mask — no BFS. Masters are
-  /// independent in any balanced mesh (single-level constraints), so the
-  /// class is created already resolved as independent.
-  std::int32_t resolved_dof_id(const NodeKey& canon, std::uint8_t mask) {
-    std::int32_t id = find(canon);
-    if (id >= 0) return id;
-    id = static_cast<std::int32_t>(entries.size());
-    NodeEntry e;
-    e.canon = canon;
-    e.mask = mask;
-    e.hanging = 0;
-    entries.push_back(e);
-    put_if_absent(canon, id);
     return id;
   }
 
@@ -633,14 +601,10 @@ void resolve_node(NodeCache& cache, const Connectivity& conn,
   cache.entries[static_cast<std::size_t>(id)].hanging = 0;
 }
 
-/// The hashed extraction. With `prev`/`corr` set, elements whose closed
-/// corner neighborhood contains no changed octant copy their constraint
-/// rows from `prev` (reuse); everything else — and everything, when prev
-/// is null — is derived through the node cache. The numbering and lookup
-/// passes are shared and match the reference bit for bit.
-Mesh hashed_extract(par::Comm& comm, const forest::Forest& forest,
-                    std::vector<Octant> ghosts, const Mesh* prev,
-                    const octree::Correspondence* corr, ExtractStats* stats) {
+}  // namespace
+
+Mesh extract_mesh(par::Comm& comm, const forest::Forest& forest,
+                  std::vector<Octant> ghosts) {
   OBS_SPAN("mesh.extract");
   const Connectivity& conn = forest.connectivity();
   const LinearOctree& tree = forest.tree();
@@ -650,9 +614,7 @@ Mesh hashed_extract(par::Comm& comm, const forest::Forest& forest,
   m.elements = tree.leaves();
   const std::size_t ne = m.elements.size();
 
-  std::vector<Octant> combined;
-  combined.reserve(ghosts.size() + ne);
-  combined = ghosts;
+  std::vector<Octant> combined = std::move(ghosts);
   combined.insert(combined.end(), tree.leaves().begin(), tree.leaves().end());
   octree::radix_sort_sfc(combined);
   std::vector<SfcKey> combined_keys(combined.size());
@@ -667,81 +629,16 @@ Mesh hashed_extract(par::Comm& comm, const forest::Forest& forest,
   std::vector<std::array<CornerCM, 8>> cm(ne);
   std::vector<std::array<std::int32_t, 8>> node_id(ne);
 
-  // ---- reuse analysis ---------------------------------------------------
-  // An element may keep its previous constraint row iff it is the same
-  // octant as before (Correspondence kSame) and no changed octant — local
-  // refine/coarsen product or ghost-layer difference — touches its closed
-  // corner neighborhood. Marking works from the changed side: each
-  // changed octant invalidates every new element overlapping it or any of
-  // its 26 same-size neighbor regions (a 3x cube covering everything
-  // adjacent to its closure).
-  std::vector<char> reuse(ne, 0);
-  std::vector<std::int64_t> old_of(ne, -1);
-  if (prev != nullptr) {
-    for (std::size_t e = 0; e < ne; ++e) {
-      const auto& en = corr->entries[e];
-      if (en.kind == octree::Correspondence::Kind::kSame) {
-        reuse[e] = 1;
-        old_of[e] = en.old_begin;
-      }
-    }
-    std::vector<Octant> changed;
-    std::set_symmetric_difference(
-        prev->elements.begin(), prev->elements.end(), m.elements.begin(),
-        m.elements.end(), std::back_inserter(changed), octree::sfc_less);
-    std::set_symmetric_difference(prev->ghosts.begin(), prev->ghosts.end(),
-                                  ghosts.begin(), ghosts.end(),
-                                  std::back_inserter(changed),
-                                  octree::sfc_less);
-    const auto mark_region = [&](const Octant& n) {
-      const SfcKey lo = octree::key_of(n);
-      const SfcKey hi{n.tree, n.morton_last()};
-      const auto it = std::lower_bound(
-          m.elements.begin(), m.elements.end(), lo,
-          [](const Octant& l, const SfcKey& k) { return octree::key_of(l) < k; });
-      std::size_t i = static_cast<std::size_t>(it - m.elements.begin());
-      if (i > 0) {
-        const Octant& l = m.elements[i - 1];
-        if (l.tree == n.tree && l.is_ancestor_of(n)) reuse[i - 1] = 0;
-      }
-      for (; i < ne && octree::key_of(m.elements[i]) <= hi; ++i) reuse[i] = 0;
-    };
-    Octant nn;
-    for (const Octant& ch : changed) {
-      mark_region(ch);
-      for (int d = 0; d < kNumAllDirs; ++d)
-        if (conn.neighbor_across(ch, d, nn)) mark_region(nn);
-    }
-  }
-
   // ---- canon: corner -> node class --------------------------------------
-  std::int64_t n_reused = 0;
   {
     OBS_PHASE_SPAN("amr.extract.canon");
     for (std::size_t e = 0; e < ne; ++e) {
-      if (reuse[e]) {
-        const auto& oc = prev->corners[static_cast<std::size_t>(old_of[e])];
-        for (int c = 0; c < 8; ++c) {
-          const Corner& pc = oc[static_cast<std::size_t>(c)];
-          CornerCM& out = cm[e][static_cast<std::size_t>(c)];
-          out.hanging = pc.hanging;
-          out.n = pc.n;
-          for (int i = 0; i < pc.n; ++i) {
-            const auto pd = static_cast<std::size_t>(pc.dof[static_cast<std::size_t>(i)]);
-            out.node[static_cast<std::size_t>(i)] = cache.resolved_dof_id(
-                prev->dof_keys[pd], prev->dof_boundary[pd]);
-            out.w[static_cast<std::size_t>(i)] = pc.w[static_cast<std::size_t>(i)];
-          }
-        }
-        ++n_reused;
-      } else {
-        const Octant& o = m.elements[e];
-        const coord_t h = octant_len(o.level);
-        for (int c = 0; c < 8; ++c)
-          node_id[e][static_cast<std::size_t>(c)] = cache.canon_id(
-              conn, NodeKey{o.tree, o.x + ((c & 1) ? h : 0),
-                            o.y + ((c & 2) ? h : 0), o.z + ((c & 4) ? h : 0)});
-      }
+      const Octant& o = m.elements[e];
+      const coord_t h = octant_len(o.level);
+      for (int c = 0; c < 8; ++c)
+        node_id[e][static_cast<std::size_t>(c)] = cache.canon_id(
+            conn, NodeKey{o.tree, o.x + ((c & 1) ? h : 0),
+                          o.y + ((c & 2) ? h : 0), o.z + ((c & 4) ? h : 0)});
     }
     hash_scope.resize(cache.bytes());
   }
@@ -751,7 +648,6 @@ Mesh hashed_extract(par::Comm& comm, const forest::Forest& forest,
     OBS_PHASE_SPAN("amr.extract.masters");
     std::vector<MasterRef> tmp;
     for (std::size_t e = 0; e < ne; ++e) {
-      if (reuse[e]) continue;
       const Octant& o = m.elements[e];
       for (int c = 0; c < 8; ++c) {
         const std::int32_t id = node_id[e][static_cast<std::size_t>(c)];
@@ -777,18 +673,6 @@ Mesh hashed_extract(par::Comm& comm, const forest::Forest& forest,
       }
     }
     hash_scope.resize(cache.bytes());
-  }
-
-  static const obs::CounterId kReusedCtr = obs::counter("amr.extract.reused");
-  static const obs::CounterId kRecomputedCtr =
-      obs::counter("amr.extract.recomputed");
-  obs::counter_add(kReusedCtr, static_cast<std::uint64_t>(n_reused));
-  obs::counter_add(kRecomputedCtr,
-                   static_cast<std::uint64_t>(static_cast<std::int64_t>(ne) -
-                                              n_reused));
-  if (stats != nullptr) {
-    stats->reused += n_reused;
-    stats->recomputed += static_cast<std::int64_t>(ne) - n_reused;
   }
 
   // ---- number: ownership, gid handshake, dof table ----------------------
@@ -908,56 +792,12 @@ Mesh hashed_extract(par::Comm& comm, const forest::Forest& forest,
     }
   }
 
-  m.ghosts = std::move(ghosts);
-  m.regions = tree.range_begins();
-  return m;
-}
-
-}  // namespace
-
-Mesh extract_mesh(par::Comm& comm, const forest::Forest& forest,
-                  std::vector<Octant> ghosts) {
-  Mesh m = hashed_extract(comm, forest, std::move(ghosts), nullptr, nullptr,
-                          nullptr);
-  m.epoch = 1;
   return m;
 }
 
 Mesh extract_mesh(par::Comm& comm, const forest::Forest& forest) {
   return extract_mesh(comm, forest,
                       ghost_layer(comm, forest.tree(), forest.connectivity()));
-}
-
-Mesh extract_mesh_incremental(par::Comm& comm, const forest::Forest& forest,
-                              std::vector<Octant> ghosts, const Mesh& prev,
-                              ExtractStats* stats) {
-  // The reuse contract: prev must have been extracted (epoch > 0) for this
-  // forest lineage, and the ownership ranges must be unchanged since —
-  // partition moves elements across ranks, invalidating both the local
-  // correspondence and the ghost-difference reasoning. The checks are
-  // globally uniform (epoch and ranges are replicated), so every rank
-  // takes the same branch; both branches issue identical collectives.
-  if (prev.epoch > 0 && prev.regions == forest.tree().range_begins()) {
-    bool ok = true;
-    octree::Correspondence corr;
-    try {
-      corr = octree::compute_correspondence(prev.elements,
-                                            forest.tree().leaves());
-    } catch (const std::exception&) {
-      ok = false;
-    }
-    if (ok) {
-      Mesh m =
-          hashed_extract(comm, forest, std::move(ghosts), &prev, &corr, stats);
-      m.epoch = prev.epoch + 1;
-      return m;
-    }
-  }
-  if (stats != nullptr) stats->fallback = true;
-  Mesh m = hashed_extract(comm, forest, std::move(ghosts), nullptr, nullptr,
-                          stats);
-  m.epoch = 1;
-  return m;
 }
 
 }  // namespace alps::mesh

@@ -1,5 +1,5 @@
 // Halo communication and element geometry. The extraction algorithms
-// (reference, hashed, incremental) live in mesh/extract.cpp.
+// (extract_mesh and its reference oracle) live in mesh/extract.cpp.
 
 #include "mesh/mesh.hpp"
 

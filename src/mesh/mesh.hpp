@@ -51,16 +51,6 @@ class Mesh {
   std::vector<Octant> elements;                 // this rank's leaves
   std::vector<std::array<Corner, 8>> corners;   // per element, z-order
 
-  // ---- extraction provenance --------------------------------------------
-  // What this mesh was extracted from, kept so the next adaptation can
-  // re-extract incrementally: the ghost layer used, the ownership ranges
-  // at extract time (incremental extraction is valid only while they are
-  // unchanged — partition invalidates them), and a generation counter
-  // (0 = never extracted, 1 = full extraction, +1 per incremental reuse).
-  std::vector<Octant> ghosts;
-  std::vector<octree::SfcKey> regions;
-  std::int64_t epoch = 0;
-
   // ---- degrees of freedom ------------------------------------------------
   std::int64_t n_owned = 0;    // dofs this rank numbers
   std::int64_t n_local = 0;    // owned + ghost dofs addressable locally
@@ -131,8 +121,7 @@ class Mesh {
   };
   MemoryBytes memory_bytes() const {
     MemoryBytes m;
-    m.topology = obs::vec_bytes(elements) + obs::vec_bytes(corners) +
-                 obs::vec_bytes(ghosts) + obs::vec_bytes(regions);
+    m.topology = obs::vec_bytes(elements) + obs::vec_bytes(corners);
     m.dofs = obs::vec_bytes(dof_keys) + obs::vec_bytes(dof_gids) +
              obs::vec_bytes(dof_coords) + obs::vec_bytes(dof_boundary);
     m.halo = obs::vec_bytes(send_idx) + obs::vec_bytes(recv_idx) +
@@ -164,16 +153,6 @@ class Mesh {
   mutable int halo_ncomp_ = 0;
 };
 
-/// What an extraction did: how many elements kept their previous corner
-/// constraints versus being rebuilt, and whether incremental extraction
-/// had to fall back to a full rebuild (ownership ranges moved, or no
-/// usable previous mesh).
-struct ExtractStats {
-  std::int64_t reused = 0;
-  std::int64_t recomputed = 0;
-  bool fallback = false;
-};
-
 /// Build the mesh from a face+edge balanced forest. Collective. The
 /// single-argument form computes the ghost layer itself; the two-argument
 /// form takes a precomputed ghost_layer() result so one adaptation round
@@ -183,21 +162,11 @@ Mesh extract_mesh(par::Comm& comm, const forest::Forest& forest,
                   std::vector<Octant> ghosts);
 
 /// The original per-corner extraction, kept verbatim as the parity oracle
-/// for the hashed and incremental paths (tests/test_extract.cpp compares
+/// for extract_mesh (tests/test_extract.cpp compares
 /// gids, constraint weights, and halo plans bit for bit). Collective.
 Mesh extract_mesh_reference(par::Comm& comm, const forest::Forest& forest);
 Mesh extract_mesh_reference(par::Comm& comm, const forest::Forest& forest,
                             std::vector<Octant> ghosts);
-
-/// Re-extract after a local adaptation, reusing the corner constraints of
-/// every element whose corner neighborhood is untouched (Correspondence-
-/// driven; typically the vast majority when a thin front adapts). Falls
-/// back to a full extraction — identical result, stats->fallback set —
-/// when `prev` was never extracted or ownership ranges moved since
-/// (partition). Collective either way. Bit-identical to extract_mesh.
-Mesh extract_mesh_incremental(par::Comm& comm, const forest::Forest& forest,
-                              std::vector<Octant> ghosts, const Mesh& prev,
-                              ExtractStats* stats = nullptr);
 
 /// Canonicalize a node across inter-tree boundaries. Returns the minimal
 /// representation and a bitmask of the physical boundary faces it lies on.

@@ -45,6 +45,28 @@ PhaseTimers read_phases() {
   return t;
 }
 
+/// Element-wise sum over all ranks of a fixed-size counter array, in one
+/// allreduce.
+template <std::size_t N>
+std::array<std::int64_t, N> allreduce_sum_array(
+    par::Comm& comm, const std::array<std::int64_t, N>& local) {
+  return comm.allreduce(local, [](const std::array<std::int64_t, N>& a,
+                                  const std::array<std::int64_t, N>& b) {
+    std::array<std::int64_t, N> r;
+    for (std::size_t i = 0; i < N; ++i) r[i] = a[i] + b[i];
+    return r;
+  });
+}
+
+/// Global element count per refinement level (one allreduce).
+std::array<std::int64_t, 20> level_histogram(
+    par::Comm& comm, const octree::LinearOctree& tree) {
+  std::array<std::int64_t, 20> hist{};
+  for (const auto& o : tree.leaves())
+    hist[static_cast<std::size_t>(o.level)]++;
+  return allreduce_sum_array(comm, hist);
+}
+
 }  // namespace
 
 Simulation::Simulation(par::Comm& comm, SimConfig cfg)
@@ -133,16 +155,10 @@ void Simulation::update_velocity() {
 void Simulation::extract_and_rebuild(std::span<const double> element_temps) {
   {
     OBS_PHASE_SPAN("amr.extract_mesh");
-    // One ghost layer per adaptation, shared with the extractor. The
-    // incremental path reuses the previous mesh's corner constraints when
-    // ownership ranges are unchanged (no repartition since the last
-    // extraction) and falls back to a full rebuild otherwise.
+    // One ghost layer per adaptation, shared with the extractor.
     std::vector<octree::Octant> ghosts =
         mesh::ghost_layer(*comm_, forest_.tree(), forest_.connectivity());
-    mesh::ExtractStats stats;
-    mesh_ = mesh::extract_mesh_incremental(*comm_, forest_, std::move(ghosts),
-                                           mesh_, &stats);
-    last_extract_ = stats;
+    mesh_ = mesh::extract_mesh(*comm_, forest_, std::move(ghosts));
   }
   amg_cache_.bump_epoch();  // new mesh: every cached AMG structure is stale
   temperature_ = mesh::from_element_values(*comm_, mesh_, element_temps);
@@ -188,10 +204,10 @@ void Simulation::adapt_once() {
     OBS_PHASE_SPAN("amr.coarsen_refine");
     tree.adapt(flags, cfg_.min_level, cfg_.max_level);
   }
-  const std::int64_t n_after_adapt = comm_->allreduce_sum(tree.num_local());
 
   // Fig. 5 statistics: what marking alone did (balance additions are
   // counted separately, matching the paper's categories).
+  std::int64_t n_after_adapt = 0;
   {
     const octree::Correspondence corr_adapt =
         octree::compute_correspondence(old_leaves, tree.leaves());
@@ -213,9 +229,12 @@ void Simulation::adapt_once() {
           break;
       }
     }
-    stats.refined = comm_->allreduce_sum(refined);
-    stats.coarsened = comm_->allreduce_sum(coarsened);
-    stats.unchanged = comm_->allreduce_sum(unchanged);
+    const std::array<std::int64_t, 4> global = allreduce_sum_array<4>(
+        *comm_, {refined, coarsened, unchanged, tree.num_local()});
+    stats.refined = global[0];
+    stats.coarsened = global[1];
+    stats.unchanged = global[2];
+    n_after_adapt = global[3];
   }
 
   // BALANCETREE.
@@ -223,8 +242,11 @@ void Simulation::adapt_once() {
     OBS_PHASE_SPAN("amr.balance");
     forest_.balance(*comm_);
   }
-  stats.balance_added =
-      comm_->allreduce_sum(tree.num_local()) - n_after_adapt;
+  // The global level histogram is final from here on (partition only
+  // moves elements between ranks), so it also yields the totals.
+  stats.per_level = level_histogram(*comm_, tree);
+  for (const std::int64_t n : stats.per_level) stats.total_elements += n;
+  stats.balance_added = stats.total_elements - n_after_adapt;
 
   // INTERPOLATEFIELDS.
   {
@@ -242,11 +264,10 @@ void Simulation::adapt_once() {
   // PARTITIONTREE + TRANSFERFIELDS. octree::partition accumulates the two
   // stages into the amr.partition / amr.transfer_fields phases itself.
   // With a partition_threshold set, adaptations that keep the element
-  // distribution balanced enough skip both stages; ownership ranges then
-  // stay fixed and EXTRACTMESH below runs incrementally.
+  // distribution balanced enough skip both stages.
   bool repartition = true;
   if (cfg_.partition_threshold > 0.0) {
-    const std::int64_t total = comm_->allreduce_sum(tree.num_local());
+    const std::int64_t total = stats.total_elements;
     const std::int64_t mx = comm_->allreduce_max(tree.num_local());
     const double imbalance =
         total > 0 ? static_cast<double>(mx) * comm_->size() /
@@ -263,14 +284,6 @@ void Simulation::adapt_once() {
 
   // EXTRACTMESH + nodal rebuild.
   extract_and_rebuild(ev);
-
-  // Level histogram and totals.
-  std::array<std::int64_t, 20> hist{};
-  for (const auto& o : tree.leaves())
-    hist[static_cast<std::size_t>(o.level)]++;
-  for (std::size_t l = 0; l < hist.size(); ++l)
-    stats.per_level[l] = comm_->allreduce_sum(hist[l]);
-  stats.total_elements = global_elements();
   adapt_history_.push_back(stats);
 }
 
@@ -530,29 +543,21 @@ void Simulation::emit_step_telemetry(
     const obs::analysis::MemRecord* mem, const std::string& drift_json) {
   // Collective statistics first (every rank participates), then one rank
   // writes the record.
-  const std::int64_t local_elements = forest_.tree().num_local();
-  const std::int64_t total_elements = comm_->allreduce_sum(local_elements);
-  const std::int64_t max_elements = comm_->allreduce_max(local_elements);
+  const std::array<std::int64_t, 20> hist =
+      level_histogram(*comm_, forest_.tree());
+  std::int64_t total_elements = 0;
+  int max_level = 0;
+  for (std::size_t l = 0; l < hist.size(); ++l) {
+    total_elements += hist[l];
+    if (hist[l] > 0) max_level = static_cast<int>(l);
+  }
+  const std::int64_t max_elements =
+      comm_->allreduce_max(forest_.tree().num_local());
   const double imbalance =
       total_elements > 0
           ? static_cast<double>(max_elements) * comm_->size() /
                 static_cast<double>(total_elements)
           : 1.0;
-
-  std::array<std::int64_t, 20> hist{};
-  for (const auto& o : forest_.tree().leaves())
-    hist[static_cast<std::size_t>(o.level)]++;
-  hist = comm_->allreduce(
-      hist,
-      [](const std::array<std::int64_t, 20>& a,
-         const std::array<std::int64_t, 20>& b) {
-        std::array<std::int64_t, 20> r;
-        for (std::size_t i = 0; i < r.size(); ++i) r[i] = a[i] + b[i];
-        return r;
-      });
-  int max_level = 0;
-  for (std::size_t l = 0; l < hist.size(); ++l)
-    if (hist[l] > 0) max_level = static_cast<int>(l);
 
   const std::uint64_t vcycles = comm_->allreduce_sum(step_vcycles);
   const PhysicsDiagnostics phys = compute_physics_diagnostics(
@@ -588,8 +593,7 @@ void Simulation::emit_step_telemetry(
       .field("t_mean", phys.t_mean);
   {
     // Rank 0's per-phase seconds for this step: the AMR cycle stages (all
-    // ~0 on non-adapting steps), the extraction reuse statistics of the
-    // most recent EXTRACTMESH, and the solver phases so consumers can
+    // ~0 on non-adapting steps) and the solver phases so consumers can
     // compute the AMR share of the step (Fig. 10).
     std::ostringstream os;
     os.precision(9);
@@ -604,13 +608,8 @@ void Simulation::emit_step_telemetry(
        << ",\"time_integration\":" << step_phases.time_integration
        << ",\"stokes\":"
        << step_phases.minres + step_phases.amg_setup + step_phases.amg_apply +
-              step_phases.stokes_assemble;
-    if (adapted)
-      os << ",\"extract_reused\":" << last_extract_.reused
-         << ",\"extract_recomputed\":" << last_extract_.recomputed
-         << ",\"extract_fallback\":"
-         << (last_extract_.fallback ? "true" : "false");
-    os << "}";
+              step_phases.stokes_assemble
+       << "}";
     rec.field_json("timings", os.str());
   }
   if (analysis != nullptr)

@@ -63,12 +63,9 @@ struct SimConfig {
   double coarsen_ratio = 0.05;
   int adapt_every = 16;
 
-  /// Element-imbalance ratio (max_rank_elements * P / total) above which
-  /// an adaptation repartitions. 0 keeps the historical behavior of
-  /// repartitioning on every adaptation. When a threshold is set and the
-  /// mesh stays balanced enough, PARTITIONTREE/TRANSFERFIELDS are skipped
-  /// and the subsequent EXTRACTMESH runs incrementally (ownership ranges
-  /// unchanged), reusing the corner constraints of untouched elements.
+  /// Element-imbalance ratio (max_rank_elements * P / total) at or below
+  /// which an adaptation skips PARTITIONTREE/TRANSFERFIELDS. 0 repartitions
+  /// on every adaptation.
   double partition_threshold = 0.0;
 
   /// When set, velocity is prescribed analytically (transport-only runs,
@@ -169,10 +166,6 @@ class Simulation {
   /// is 0 until convection mode has solved at least once.
   const stokes::PicardResult& last_stokes() const { return last_stokes_; }
 
-  /// What the most recent EXTRACTMESH did (element reuse vs recompute and
-  /// whether the incremental path fell back to a full extraction).
-  const mesh::ExtractStats& last_extract() const { return last_extract_; }
-
  private:
   void extract_and_rebuild(std::span<const double> element_temps);
   void emit_step_telemetry(double dt, std::uint64_t step_vcycles, bool adapted,
@@ -212,7 +205,6 @@ class Simulation {
   int steps_ = 0;
   PhaseTimers base_;  // obs phase accumulators at construction time
   stokes::PicardResult last_stokes_;  // convection mode only
-  mesh::ExtractStats last_extract_;   // most recent extraction
   std::vector<AdaptationStats> adapt_history_;
   // Cached SUPG operator; invalidated when the mesh or velocity changes.
   std::unique_ptr<energy::EnergySolver> energy_;

@@ -1,11 +1,8 @@
-// Parity tests for the extraction rewrite (src/mesh/extract.cpp): the
-// hashed and incremental paths must be BIT-IDENTICAL to the per-corner
-// reference oracle — same global numbering, same constraint rows (masters
-// and weights), same halo plans — across rank counts, geometries, and
-// refine/coarsen/repartition sequences. The incremental path additionally
-// must reuse a positive fraction of elements on non-repartitioning adapts
-// and fall back to a full extraction (identical result, epoch reset) when
-// the ownership ranges moved or there is no usable previous mesh.
+// Parity tests for mesh extraction (src/mesh/extract.cpp): extract_mesh
+// must be BIT-IDENTICAL to the per-corner reference oracle — same global
+// numbering, same constraint rows (masters and weights), same halo plans —
+// across rank counts, geometries, and refine/coarsen/repartition
+// sequences.
 
 #include <gtest/gtest.h>
 
@@ -125,7 +122,6 @@ TEST_P(ExtractRanks, HashedMatchesReferenceUnitCube) {
     Mesh ref = extract_mesh_reference(c, f);
     Mesh hashed = extract_mesh(c, f);
     expect_mesh_equal(ref, hashed);
-    EXPECT_EQ(hashed.epoch, 1);
   });
 }
 
@@ -155,35 +151,28 @@ TEST_P(ExtractRanks, GhostOverloadMatchesSelfComputed) {
   });
 }
 
-TEST_P(ExtractRanks, IncrementalMatchesReferenceAndReuses) {
+// extract_mesh with a freshly computed ghost layer vs the oracle on the
+// forest's current state.
+void expect_matches_reference(Comm& c, const Forest& f) {
+  expect_mesh_equal(extract_mesh_reference(c, f),
+                    extract_mesh(c, f, ghost_layer(c, f.tree(),
+                                                   f.connectivity())));
+}
+
+TEST_P(ExtractRanks, LocalRefineWithoutRepartitionMatchesReference) {
   alps::par::run(GetParam(), [](Comm& c) {
     Forest f = adapted_forest(c, Connectivity::unit_cube(), 2);
-    Mesh prev = extract_mesh(c, f);
-
     // Local adaptation, no repartition: ownership ranges stay fixed.
     refine_near(c, f, {0.2, 0.8, 0.3}, 0.04, 4);
-    ExtractStats stats;
-    Mesh incr = extract_mesh_incremental(
-        c, f, ghost_layer(c, f.tree(), f.connectivity()), prev, &stats);
-    expect_mesh_equal(extract_mesh_reference(c, f), incr);
-
-    EXPECT_FALSE(c.allreduce_or(stats.fallback));
-    EXPECT_GT(c.allreduce_sum(stats.reused), 0);
-    EXPECT_GT(c.allreduce_sum(stats.recomputed), 0);
-    EXPECT_EQ(stats.reused + stats.recomputed,
-              static_cast<std::int64_t>(incr.elements.size()));
-    EXPECT_EQ(incr.epoch, 2);
+    expect_matches_reference(c, f);
   });
 }
 
-TEST_P(ExtractRanks, IncrementalChainAcrossRefineAndCoarsen) {
+TEST_P(ExtractRanks, RefineCoarsenRefineChainMatchesReference) {
   alps::par::run(GetParam(), [](Comm& c) {
     Forest f = adapted_forest(c, Connectivity::unit_cube(), 2);
-    Mesh m = extract_mesh(c, f);
-
-    // Refine a front, coarsen it back, refine elsewhere — each step
-    // re-extracts incrementally from the previous mesh and must match
-    // the oracle; the epoch counts the chain.
+    // Refine a front, coarsen it back, refine elsewhere; re-extract after
+    // each step.
     const std::array<std::array<double, 3>, 3> centers = {
         {{0.2, 0.8, 0.3}, {0.2, 0.8, 0.3}, {0.8, 0.2, 0.7}}};
     for (int step = 0; step < 3; ++step) {
@@ -191,68 +180,31 @@ TEST_P(ExtractRanks, IncrementalChainAcrossRefineAndCoarsen) {
         coarsen_near(c, f, centers[static_cast<std::size_t>(step)], 0.04, 2);
       else
         refine_near(c, f, centers[static_cast<std::size_t>(step)], 0.04, 4);
-      ExtractStats stats;
-      Mesh next = extract_mesh_incremental(
-          c, f, ghost_layer(c, f.tree(), f.connectivity()), m, &stats);
-      expect_mesh_equal(extract_mesh_reference(c, f), next);
-      EXPECT_FALSE(c.allreduce_or(stats.fallback));
-      EXPECT_EQ(next.epoch, m.epoch + 1);
-      m = std::move(next);
+      expect_matches_reference(c, f);
     }
-    EXPECT_EQ(m.epoch, 4);
   });
 }
 
-TEST_P(ExtractRanks, IncrementalFallsBackAfterPartition) {
+TEST_P(ExtractRanks, SkewThenRepartitionMatchesReference) {
   alps::par::run(GetParam(), [](Comm& c) {
     Forest f = adapted_forest(c, Connectivity::unit_cube(), 2);
-    Mesh prev = extract_mesh(c, f);
-
     // Skew the element distribution, then repartition: ranges move on
-    // P > 1, and the incremental path must detect it and do a full
-    // rebuild (bit-identical to the oracle, epoch reset to 1).
+    // P > 1.
     refine_near(c, f, {0.1, 0.1, 0.1}, 0.06, 4);
     f.tree().update_ranges(c);
     f.partition(c);
-    ExtractStats stats;
-    Mesh after = extract_mesh_incremental(
-        c, f, ghost_layer(c, f.tree(), f.connectivity()), prev, &stats);
-    expect_mesh_equal(extract_mesh_reference(c, f), after);
-    if (c.size() > 1) {
-      EXPECT_TRUE(stats.fallback);
-      EXPECT_EQ(after.epoch, 1);
-    }
+    expect_matches_reference(c, f);
   });
 }
 
-TEST_P(ExtractRanks, NeverExtractedPreviousFallsBack) {
+TEST_P(ExtractRanks, ReextractWithoutAdaptationMatchesReference) {
   alps::par::run(GetParam(), [](Comm& c) {
     Forest f = adapted_forest(c, Connectivity::unit_cube(), 2);
-    Mesh prev;  // epoch 0: no provenance, must fall back
-    ExtractStats stats;
-    Mesh m = extract_mesh_incremental(
-        c, f, ghost_layer(c, f.tree(), f.connectivity()), prev, &stats);
-    expect_mesh_equal(extract_mesh_reference(c, f), m);
-    EXPECT_TRUE(stats.fallback);
-    EXPECT_EQ(stats.reused, 0);
-    EXPECT_EQ(m.epoch, 1);
-  });
-}
-
-TEST_P(ExtractRanks, IncrementalIdentityAdaptReusesEverything) {
-  alps::par::run(GetParam(), [](Comm& c) {
-    Forest f = adapted_forest(c, Connectivity::unit_cube(), 2);
-    Mesh prev = extract_mesh(c, f);
-
-    // No adaptation at all: every element must take the reuse path.
-    ExtractStats stats;
-    Mesh again = extract_mesh_incremental(
-        c, f, ghost_layer(c, f.tree(), f.connectivity()), prev, &stats);
-    expect_mesh_equal(extract_mesh_reference(c, f), again);
-    EXPECT_FALSE(c.allreduce_or(stats.fallback));
-    EXPECT_EQ(stats.recomputed, 0);
-    EXPECT_EQ(stats.reused,
-              static_cast<std::int64_t>(again.elements.size()));
+    const Mesh first = extract_mesh(c, f);
+    // No adaptation at all: a second extraction is identical to the first
+    // and to the oracle.
+    expect_matches_reference(c, f);
+    expect_mesh_equal(first, extract_mesh(c, f));
   });
 }
 

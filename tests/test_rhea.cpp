@@ -104,9 +104,26 @@ TEST_P(RheaRanks, AdaptationStatsAreConsistent) {
   alps::par::run(GetParam(), [](Comm& c) {
     Simulation sim(c, advection_config());
     sim.initialize(front_t0);
+    sim.run(4);  // energy steps only: the first adaptation is due at step 4
+    ASSERT_TRUE(sim.adapt_history().empty());
     const std::int64_t before = sim.global_elements();
-    sim.run(5);  // one adaptation at step 4
-    ASSERT_GE(sim.adapt_history().size(), 1u);
+
+    // Every rank has finished the allreduce above before any rank reads
+    // the shared counter, and no rank starts adapt_once before all have
+    // read it (and likewise around the second read).
+    const std::uint64_t a0 = c.stats().allreduce_calls.load();
+    c.barrier();
+    sim.adapt_once();
+    c.barrier();
+    const std::uint64_t a1 = c.stats().allreduce_calls.load();
+    c.barrier();
+    // allreduce_calls counts every rank: rounds = delta / P. The measured
+    // count: marking, balance, partition, ghost layer and extraction issue
+    // their own, and the Fig. 5 statistics add two (one counter array, one
+    // level histogram).
+    EXPECT_EQ((a1 - a0) / static_cast<std::uint64_t>(c.size()), 13u);
+
+    ASSERT_EQ(sim.adapt_history().size(), 1u);
     const auto& st = sim.adapt_history().front();
     // Old elements partition into refined/coarsened/unchanged.
     EXPECT_EQ(st.refined + st.coarsened + st.unchanged, before);
