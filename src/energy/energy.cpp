@@ -16,11 +16,13 @@ EnergySolver::EnergySolver(par::Comm& comm, const Mesh& m,
   lumped_.assign(static_cast<std::size_t>(m.n_local), 0.0);
   source_.assign(static_cast<std::size_t>(m.n_local), 0.0);
   dt_limit_ = std::numeric_limits<double>::max();
+  jxw_.resize(m.elements.size());
 
   std::array<fem::Vec3, 8> ue;
   for (std::size_t e = 0; e < m.elements.size(); ++e) {
     const fem::ElemGeom g = fem::element_geometry(m, conn, e);
     const fem::MappedQuad mq = fem::map_element(g);
+    jxw_[e] = mq.jxw;
     double speed2 = 0.0;
     for (int i = 0; i < 8; ++i) {
       const mesh::Corner& cc = m.corners[e][static_cast<std::size_t>(i)];

@@ -38,11 +38,20 @@ class EnergySolver {
 
   const fem::ElementOperator& op() const { return *op_; }
 
-  /// This rank's heap bytes for the lumped-mass and source vectors (the
-  /// "energy.fields" memory scope). The SUPG element operator is reported
-  /// separately through op().memory_bytes() (the "fem.plan" scope).
+  /// Quadrature weights |J|·w at the 2x2x2 Gauss points, one row per local
+  /// element, kept from assembly so per-step volume integrals (the physics
+  /// diagnostics) need no geometry pass.
+  std::span<const std::array<double, fem::kQuad>> element_jxw() const {
+    return jxw_;
+  }
+
+  /// This rank's heap bytes for the lumped-mass, source and quadrature
+  /// weight vectors (the "energy.fields" memory scope). The SUPG element
+  /// operator is reported separately through op().memory_bytes() (the
+  /// "fem.plan" scope).
   std::uint64_t memory_bytes() const {
-    return obs::vec_bytes(lumped_) + obs::vec_bytes(source_);
+    return obs::vec_bytes(lumped_) + obs::vec_bytes(source_) +
+           obs::vec_bytes(jxw_);
   }
 
  private:
@@ -54,6 +63,7 @@ class EnergySolver {
   std::unique_ptr<fem::ElementOperator> op_;  // advection + diffusion + SUPG
   std::vector<double> lumped_;                // lumped mass
   std::vector<double> source_;                // gamma load vector
+  std::vector<std::array<double, fem::kQuad>> jxw_;  // per-element weights
   double dt_limit_ = 0.0;                     // local element limit
 };
 

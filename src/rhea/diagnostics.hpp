@@ -3,11 +3,19 @@
 // that tells whether a convection run is healthy — Nusselt number, RMS
 // velocity, temperature extrema. Computed with the same 2x2x2 Gauss
 // quadrature as assembly so the volume averages are consistent with the
-// discretization. Collective (one allreduce), cheap (one mesh sweep), and
-// emitted into the telemetry stream by the Simulation timestep loop.
+// discretization. Emitted into the telemetry stream by the Simulation
+// timestep loop.
+//
+// Per-step cost: a gather of nodal values through the hanging-node
+// constraints plus one allreduce. The quadrature weights |J|·w depend only
+// on the mesh, so the driver passes the ones the energy assembly already
+// computed (energy::EnergySolver::element_jxw()) and no step recomputes
+// element geometry.
 
+#include <array>
 #include <span>
 
+#include "fem/hex8.hpp"
 #include "forest/connectivity.hpp"
 #include "mesh/mesh.hpp"
 #include "par/comm.hpp"
@@ -26,7 +34,17 @@ struct PhysicsDiagnostics {
 };
 
 /// Compute the diagnostics for nodal temperature (n_local) and 4-component
-/// velocity+pressure solution (4 * n_local). Collective.
+/// velocity+pressure solution (4 * n_local), given the quadrature weights
+/// of every local element of `m` (one row per element, else
+/// std::invalid_argument). Collective (one allreduce).
+PhysicsDiagnostics compute_physics_diagnostics(
+    par::Comm& comm, const mesh::Mesh& m,
+    std::span<const std::array<double, fem::kQuad>> jxw,
+    std::span<const double> temperature, std::span<const double> solution,
+    double kappa);
+
+/// Same, mapping every element through `conn` first to get its weights
+/// (one geometry pass; for callers without an assembled EnergySolver).
 PhysicsDiagnostics compute_physics_diagnostics(
     par::Comm& comm, const mesh::Mesh& m, const forest::Connectivity& conn,
     std::span<const double> temperature, std::span<const double> solution,

@@ -58,13 +58,19 @@ std::array<std::int64_t, N> allreduce_sum_array(
   });
 }
 
-/// Global element count per refinement level (one allreduce).
-std::array<std::int64_t, 20> level_histogram(
-    par::Comm& comm, const octree::LinearOctree& tree) {
+/// This rank's element count per refinement level.
+std::array<std::int64_t, 20> local_level_histogram(
+    const octree::LinearOctree& tree) {
   std::array<std::int64_t, 20> hist{};
   for (const auto& o : tree.leaves())
     hist[static_cast<std::size_t>(o.level)]++;
-  return allreduce_sum_array(comm, hist);
+  return hist;
+}
+
+/// Global element count per refinement level (one allreduce).
+std::array<std::int64_t, 20> level_histogram(
+    par::Comm& comm, const octree::LinearOctree& tree) {
+  return allreduce_sum_array(comm, local_level_histogram(tree));
 }
 
 }  // namespace
@@ -542,26 +548,38 @@ void Simulation::emit_step_telemetry(
     const PhaseTimers& step_phases, const obs::analysis::StepRecord* analysis,
     const obs::analysis::MemRecord* mem, const std::string& drift_json) {
   // Collective statistics first (every rank participates), then one rank
-  // writes the record.
-  const std::array<std::int64_t, 20> hist =
-      level_histogram(*comm_, forest_.tree());
+  // writes the record. One allreduce carries the level histogram and the
+  // V-cycles (summed) and the owned element count (maxed, last slot).
+  constexpr std::size_t kLevels = 20, kVcycles = kLevels, kMaxElems = 21;
+  std::array<std::int64_t, 22> stats{};
+  const std::array<std::int64_t, kLevels> hist =
+      local_level_histogram(forest_.tree());
+  std::copy(hist.begin(), hist.end(), stats.begin());
+  stats[kVcycles] = static_cast<std::int64_t>(step_vcycles);
+  stats[kMaxElems] = forest_.tree().num_local();
+  stats = comm_->allreduce(
+      stats, [](const std::array<std::int64_t, 22>& a,
+                const std::array<std::int64_t, 22>& b) {
+        std::array<std::int64_t, 22> r;
+        for (std::size_t i = 0; i < kMaxElems; ++i) r[i] = a[i] + b[i];
+        r[kMaxElems] = std::max(a[kMaxElems], b[kMaxElems]);
+        return r;
+      });
   std::int64_t total_elements = 0;
   int max_level = 0;
-  for (std::size_t l = 0; l < hist.size(); ++l) {
-    total_elements += hist[l];
-    if (hist[l] > 0) max_level = static_cast<int>(l);
+  for (std::size_t l = 0; l < kLevels; ++l) {
+    total_elements += stats[l];
+    if (stats[l] > 0) max_level = static_cast<int>(l);
   }
-  const std::int64_t max_elements =
-      comm_->allreduce_max(forest_.tree().num_local());
   const double imbalance =
       total_elements > 0
-          ? static_cast<double>(max_elements) * comm_->size() /
+          ? static_cast<double>(stats[kMaxElems]) * comm_->size() /
                 static_cast<double>(total_elements)
           : 1.0;
-
-  const std::uint64_t vcycles = comm_->allreduce_sum(step_vcycles);
+  const std::uint64_t vcycles = static_cast<std::uint64_t>(stats[kVcycles]);
+  // energy_ was (re)built on the current mesh earlier in this step.
   const PhysicsDiagnostics phys = compute_physics_diagnostics(
-      *comm_, mesh_, forest_.connectivity(), temperature_, solution_,
+      *comm_, mesh_, energy_->element_jxw(), temperature_, solution_,
       cfg_.energy.kappa);
 
   if (comm_->rank() != 0) return;
@@ -574,7 +592,7 @@ void Simulation::emit_step_telemetry(
       .field("dofs", mesh_.n_global)
       .field("partition_imbalance", imbalance)
       .field("per_level",
-             std::span<const std::int64_t>(hist.data(),
+             std::span<const std::int64_t>(stats.data(),
                                            static_cast<std::size_t>(max_level) +
                                                1))
       .field("picard_iterations",

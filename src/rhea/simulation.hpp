@@ -206,7 +206,8 @@ class Simulation {
   PhaseTimers base_;  // obs phase accumulators at construction time
   stokes::PicardResult last_stokes_;  // convection mode only
   std::vector<AdaptationStats> adapt_history_;
-  // Cached SUPG operator; invalidated when the mesh or velocity changes.
+  // Cached SUPG operator and per-element quadrature weights (read by the
+  // telemetry diagnostics); invalidated when the mesh or velocity changes.
   std::unique_ptr<energy::EnergySolver> energy_;
   // AMG hierarchies shared across Picard iterations and non-adapting
   // timesteps; its epoch is bumped on every mesh rebuild.

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 
+#include "obs/telemetry.hpp"
 #include "octree/balance.hpp"
 #include "rhea/simulation.hpp"
 #include "par/runtime.hpp"
@@ -135,6 +137,42 @@ TEST_P(RheaRanks, AdaptationStatsAreConsistent) {
     std::int64_t sum = 0;
     for (auto v : st.per_level) sum += v;
     EXPECT_EQ(sum, st.total_elements);
+  });
+}
+
+/// Telemetry on for one test body, off again however the body exits.
+struct TelemetryOn {
+  TelemetryOn() {
+    obs::set_telemetry_path(
+        (std::filesystem::path(::testing::TempDir()) / "rhea_collectives.jsonl")
+            .string());
+    obs::set_telemetry(true);
+  }
+  ~TelemetryOn() {
+    obs::set_telemetry(false);
+    obs::set_telemetry_path("");
+    obs::telemetry_reset_for_testing();
+  }
+};
+
+TEST_P(RheaRanks, TelemetryStepCollectives) {
+  const TelemetryOn telemetry;
+  alps::par::run(GetParam(), [](Comm& c) {
+    Simulation sim(c, advection_config());
+    sim.initialize(front_t0);
+    sim.run(1);  // builds the energy operator
+    c.barrier();
+    const std::uint64_t a0 = c.stats().allreduce_calls.load();
+    c.barrier();
+    sim.run(1);  // non-adapting: the first adaptation is due at step 4
+    c.barrier();
+    const std::uint64_t a1 = c.stats().allreduce_calls.load();
+    c.barrier();
+    ASSERT_TRUE(sim.adapt_history().empty());
+    // Rounds = delta / P. The measured count: the stable time step, the
+    // NaN sentinels, one for the telemetry statistics (level histogram,
+    // element max, V-cycles) and one for the physics diagnostics.
+    EXPECT_EQ((a1 - a0) / static_cast<std::uint64_t>(c.size()), 4u);
   });
 }
 
