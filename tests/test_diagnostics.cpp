@@ -1,18 +1,19 @@
 // Per-step physics diagnostics (src/rhea/diagnostics.cpp): exact Gauss
 // integrals on adapted meshes with hanging nodes, bit identity of the
-// energy assembly's quadrature weights and of the two entry points on an
-// adapted mesh, and agreement of the driver's telemetry with a
+// energy assembly's quadrature weights and of the two entry points on
+// adapted non-affine shell caps, and agreement of the driver's telemetry with a
 // standalone evaluation. Every test runs at P = 1, 2 and 4.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "energy/energy.hpp"
 #include "fem/operators.hpp"
@@ -21,6 +22,7 @@
 #include "par/runtime.hpp"
 #include "rhea/diagnostics.hpp"
 #include "rhea/simulation.hpp"
+#include "telemetry_guard.hpp"
 
 namespace {
 
@@ -133,12 +135,42 @@ TEST(Diagnostics, ExactIntegralsOnTwoTreeBrick) {
     });
 }
 
+// The +x, +y and +z caps of Connectivity::cubed_sphere_shell(): its 12
+// trees with the same corners. Their trilinear maps are non-affine and
+// their frames are rotated against each other. The other three caps are
+// left-handed under the trilinear map (negative Jacobian), which
+// fem::map_element does not accept.
+Connectivity positive_shell_caps() {
+  std::vector<forest::TreeCorners> corners;
+  for (int axis = 0; axis < 3; ++axis) {
+    const int b = (axis + 1) % 3, cax = (axis + 2) % 3;
+    for (int j = 0; j < 2; ++j)
+      for (int i = 0; i < 2; ++i) {
+        forest::TreeCorners tc{};
+        for (int k = 0; k < 8; ++k) {
+          std::array<int, 3> q{};
+          q[static_cast<std::size_t>(axis)] = 2;
+          q[static_cast<std::size_t>(b)] = -2 + 2 * i + ((k & 1) ? 2 : 0);
+          q[static_cast<std::size_t>(cax)] = -2 + 2 * j + ((k & 2) ? 2 : 0);
+          const int scale = (k & 4) ? 2 : 1;
+          tc[static_cast<std::size_t>(k)] = {scale * q[0], scale * q[1],
+                                             scale * q[2]};
+        }
+        corners.push_back(tc);
+      }
+  }
+  return Connectivity::from_corners(corners);
+}
+
+// Both weight sources evaluate the same map_element call per element, so
+// this pins the data flow (one row per element, in element order, kept
+// by the energy assembly and consumed by the kernel), not the geometry.
 TEST(Diagnostics, WeightsAndEntryPointsAreBitIdentical) {
   for (const int p : kRankCounts)
     alps::par::run(p, [](Comm& c) {
       SCOPED_TRACE("P = " + std::to_string(c.size()));
-      const Forest f = adapted_forest(c, Connectivity::brick(2, 1, 1), 2,
-                                      {0.5, 0.5, 0.5}, 0.1);
+      const Forest f =
+          adapted_forest(c, positive_shell_caps(), 1, {3.0, 1.0, 1.0}, 1.0);
       const Mesh m = mesh::extract_mesh(c, f);
       const Connectivity& conn = f.connectivity();
       std::vector<double> sol(static_cast<std::size_t>(m.n_local) * 4, 0.0);
@@ -158,10 +190,17 @@ TEST(Diagnostics, WeightsAndEntryPointsAreBitIdentical) {
       const auto cached = es.element_jxw();
       const auto mapped = mapped_jxw(m, conn);
       std::size_t differ = cached.size() == mapped.size() ? 0 : 1;
-      for (std::size_t e = 0; e < std::min(cached.size(), mapped.size()); ++e)
+      std::int64_t non_affine = 0;
+      for (std::size_t e = 0; e < std::min(cached.size(), mapped.size()); ++e) {
         differ += std::memcmp(cached[e].data(), mapped[e].data(),
                               sizeof mapped[e]) != 0;
+        const auto [lo, hi] = std::minmax_element(mapped[e].begin(),
+                                                  mapped[e].end());
+        non_affine += *lo > 0.0 && *hi > *lo * (1.0 + 1e-9);
+      }
       EXPECT_EQ(differ, 0u);
+      EXPECT_EQ(c.allreduce_sum(non_affine),
+                c.allreduce_sum(static_cast<std::int64_t>(mapped.size())));
 
       const double kappa = 0.5;
       const PhysicsDiagnostics d =
@@ -174,21 +213,6 @@ TEST(Diagnostics, WeightsAndEntryPointsAreBitIdentical) {
     });
 }
 
-/// Telemetry on for one test, off and emptied again however it exits.
-struct TelemetryOn {
-  TelemetryOn() {
-    obs::set_telemetry_path(
-        (std::filesystem::path(::testing::TempDir()) / "diagnostics.jsonl")
-            .string());
-    obs::set_telemetry(true);
-  }
-  ~TelemetryOn() {
-    obs::set_telemetry(false);
-    obs::set_telemetry_path("");
-    obs::telemetry_reset_for_testing();
-  }
-};
-
 // Whether the record carries `key` as the telemetry writer renders `v`.
 bool has_field(const std::string& rec, const char* key, double v) {
   char buf[40];
@@ -199,7 +223,7 @@ bool has_field(const std::string& rec, const char* key, double v) {
 }
 
 TEST(Diagnostics, TelemetryMatchesStandaloneEvaluation) {
-  const TelemetryOn telemetry;
+  const test::TelemetryOn telemetry("diagnostics.jsonl");
   for (const int p : kRankCounts)
     alps::par::run(p, [](Comm& c) {
       SCOPED_TRACE("P = " + std::to_string(c.size()));

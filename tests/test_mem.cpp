@@ -21,6 +21,7 @@
 #include "obs/telemetry.hpp"
 #include "par/runtime.hpp"
 #include "rhea/simulation.hpp"
+#include "telemetry_guard.hpp"
 
 namespace {
 
@@ -32,9 +33,7 @@ class MemRegistryTest : public ::testing::Test {
   void TearDown() override {
     obs::set_mem_enabled(true);
     obs::set_rss_unavailable_for_testing(false);
-    obs::set_telemetry(false);
-    obs::set_telemetry_path("");
-    obs::telemetry_reset_for_testing();
+    test::reset_telemetry();
     obs::set_enabled(false);
   }
 

@@ -3,12 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 
-#include "obs/telemetry.hpp"
 #include "octree/balance.hpp"
 #include "rhea/simulation.hpp"
 #include "par/runtime.hpp"
+#include "telemetry_guard.hpp"
 
 namespace {
 
@@ -140,23 +139,8 @@ TEST_P(RheaRanks, AdaptationStatsAreConsistent) {
   });
 }
 
-/// Telemetry on for one test body, off again however the body exits.
-struct TelemetryOn {
-  TelemetryOn() {
-    obs::set_telemetry_path(
-        (std::filesystem::path(::testing::TempDir()) / "rhea_collectives.jsonl")
-            .string());
-    obs::set_telemetry(true);
-  }
-  ~TelemetryOn() {
-    obs::set_telemetry(false);
-    obs::set_telemetry_path("");
-    obs::telemetry_reset_for_testing();
-  }
-};
-
 TEST_P(RheaRanks, TelemetryStepCollectives) {
-  const TelemetryOn telemetry;
+  const test::TelemetryOn telemetry("rhea_collectives.jsonl");
   alps::par::run(GetParam(), [](Comm& c) {
     Simulation sim(c, advection_config());
     sim.initialize(front_t0);

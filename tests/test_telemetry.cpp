@@ -24,6 +24,7 @@
 #include "obs/telemetry.hpp"
 #include "par/runtime.hpp"
 #include "rhea/simulation.hpp"
+#include "telemetry_guard.hpp"
 
 namespace {
 
@@ -33,9 +34,7 @@ using namespace alps;
 class TelemetryTest : public ::testing::Test {
  protected:
   void TearDown() override {
-    obs::set_telemetry(false);
-    obs::set_telemetry_path("");
-    obs::telemetry_reset_for_testing();
+    test::reset_telemetry();
     obs::set_enabled(false);
     obs::set_comm_tracing(false);
   }
