@@ -93,7 +93,9 @@ int main(int argc, char** argv) {
       obs::mem_set(kObsSelf, obs::self_memory_bytes());
 
       const obs::analysis::MemRecord rec =
-          obs::analysis::analyze_memory(c, level);
+          obs::analysis::analyze_step(
+              c, level, {.timing = false, .sum = {}, .max = {}})
+              .mem;
       const std::int64_t ne = c.allreduce_sum(f.tree().num_local());
       if (c.rank() == 0) {
         mrec = rec;

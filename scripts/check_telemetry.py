@@ -8,9 +8,13 @@ JSONL mode (default):
     nusselt, v_rms, t_min, t_max, t_mean),
   * "step" is strictly increasing, "time" non-decreasing, "dt" > 0,
   * "per_level" is a list of non-negative ints summing to "elements",
-  * optional "timings" blocks (per-step phase seconds) carry a bool
-    "adapted" and non-negative finite phase entries, with the AMR
-    phases (extract in particular) at zero on non-adapting steps,
+  * optional "timings" blocks (per-step slowest-rank phase seconds: the
+    critical-path maximum of each phase) carry a bool "adapted" and
+    non-negative finite phase entries, with the AMR phases (extract in
+    particular) at zero on non-adapting steps; when the record also has
+    a "critical_path" block, every single-phase timings entry equals the
+    cp_s of its phase wherever that phase is listed (both are printed
+    from the same double),
   * optional "latency" blocks (per-phase histogram quantiles) carry,
     per phase, a positive sample count and quantiles ordered
     p50 <= p95 <= p99 <= max with max <= sum <= count * max,
@@ -163,6 +167,32 @@ TIMING_KEYS = [
 ]
 
 
+# Single-phase timings keys and the critical-path phase each one renders.
+TIMING_PHASES = {
+    "mark": "amr.mark_elements",
+    "coarsen_refine": "amr.coarsen_refine",
+    "balance": "amr.balance",
+    "partition": "amr.partition",
+    "extract": "amr.extract_mesh",
+    "interpolate": "amr.interpolate_fields",
+    "transfer": "amr.transfer_fields",
+    "time_integration": "energy.time_integration",
+}
+
+
+def check_timings_vs_critical_path(t, cp, where) -> None:
+    """Each single-phase timings entry is its phase's critical-path cp_s."""
+    phases = cp.get("phases") if isinstance(cp, dict) else None
+    if not isinstance(phases, list):
+        fail(f"{where}: critical_path.phases is not a list")
+    cp_s = {p.get("phase"): p.get("cp_s") for p in phases
+            if isinstance(p, dict)}
+    for key, phase in TIMING_PHASES.items():
+        if phase in cp_s and t[key] != cp_s[phase]:
+            fail(f"{where}: timings.{key} = {t[key]} but critical_path "
+                 f"{phase} cp_s = {cp_s[phase]}")
+
+
 def check_timings_block(t, where) -> None:
     """Validate one record's "timings" block: the AMR cycle phase seconds
     are non-negative, and phases that only run inside an adaptation
@@ -236,6 +266,9 @@ def check_jsonl(path: str, min_records: int) -> None:
             mem_records += 1
         if "timings" in rec:
             check_timings_block(rec["timings"], f"{path}:{i}")
+            if "critical_path" in rec:
+                check_timings_vs_critical_path(
+                    rec["timings"], rec["critical_path"], f"{path}:{i}")
             timing_records += 1
         if "latency" in rec:
             check_latency_block(rec["latency"], f"{path}:{i}")

@@ -1,14 +1,14 @@
 #pragma once
-// obs::analysis — cross-rank wait-state attribution and critical-path
-// profiling over the span/counter/wait streams (DESIGN.md §11).
+// obs::analysis — the per-step exchange: cross-rank wait-state
+// attribution, critical-path profiling, memory aggregation and the
+// driver's own statistics in one collective (DESIGN.md §11, §12).
 //
-// The raw instrumentation (obs.hpp wait-state section) is strictly
-// rank-local: each rank accumulates, per innermost phase, how long it was
-// blocked and why (late sender / transfer / collective staging), plus the
-// split-phase halo overlap marks. This module adds the collective step:
-// analyze_step() is called by every rank at a synchronization point (the
-// rhea timestep loop calls it once per step), exchanges each rank's
-// per-phase deltas since the previous call, and stitches them into
+// The raw instrumentation (obs.hpp wait-state section, obs/mem.hpp) is
+// strictly rank-local. analyze_step() is called by every rank at a
+// synchronization point (the rhea timestep loop calls it once per step);
+// each rank encodes one self-delimiting blob (a u64 byte length, then its
+// sections) and a single allgatherv exchanges them. From the blobs every
+// rank stitches the same StepRecord:
 //
 //  * a step-level critical path: for each phase, the slowest rank and its
 //    time; the chain of per-phase maxima bounds the step (phase-additive —
@@ -16,12 +16,14 @@
 //    the total is an upper bound when phases overlap);
 //  * per-phase wait-state totals with the most-blamed late sender;
 //  * the achieved-overlap ratio covered/(covered+waited) of the
-//    split-phase halo exchanges, which is in [0, 1] by construction.
+//    split-phase halo exchanges, which is in [0, 1] by construction;
+//  * the memory snapshot reduced over ranks (when obs::mem is on);
+//  * the caller's per-rank double slots folded by sum and by max.
 //
-// The analyzer's own collectives run under wait_suppress so they never
-// appear in the buckets they are measuring. Records are retained per
-// world (rank 0 stores them) for bench::Reporter run summaries and for
-// the per-step telemetry blocks validated by scripts/check_analysis.py.
+// The exchange runs under wait_suppress so it never appears in the
+// buckets it is measuring. Timed records are retained per world (rank 0
+// stores them) for bench::Reporter run summaries and for the per-step
+// telemetry blocks validated by scripts/check_analysis.py.
 
 #include <cstdint>
 #include <string>
@@ -64,17 +66,59 @@ struct PhaseLatency {
   Histogram hist;
 };
 
-/// One per-rank gauge reduced over ranks (obs::gauge_set values).
-struct GaugeStat {
-  std::string name;
-  double sum = 0;
-  double max = 0;
+// ---- memory aggregation (obs/mem.hpp across ranks) ---------------------
+
+/// One memory scope reduced over ranks.
+struct MemScopeStat {
+  std::string scope;        // full "subsystem.detail" name
+  std::uint64_t total = 0;  // summed over ranks
+  std::uint64_t max = 0;    // worst single rank
+  int argmax = -1;
+};
+
+/// The memory section of one step. `enabled` is false (and nothing else
+/// valid) when obs::mem is off.
+struct MemRecord {
+  bool enabled = false;
+  int ranks = 0;
+  // Accounted (registry) bytes per rank.
+  std::uint64_t acc_min = 0, acc_max = 0, acc_total = 0;
+  double acc_median = 0, acc_mean = 0, acc_imbalance = 1;
+  int acc_argmax = -1;
+  std::vector<std::uint64_t> acc_by_rank;  // drift detector input
+  std::uint64_t acc_hwm_max = 0;  // worst rank's accounted high-water mark
+  std::string acc_hwm_phase;      // phase it was set in ("" = unattributed)
+  // Process RSS (identical across in-process ranks; kept per rank so the
+  // schema survives a real-MPI backend).
+  bool rss_available = false;
+  std::uint64_t rss_min = 0, rss_max = 0;
+  double rss_mean = 0, rss_imbalance = 1;
+  int rss_argmax = -1;
+  std::uint64_t rss_hwm_max = 0;  // max over ranks of sampled-peak RSS
+  std::string rss_hwm_phase;
+  std::vector<MemScopeStat> scopes;       // full names, sorted
+  std::vector<MemScopeStat> subsystems;   // grouped by prefix before '.'
+};
+
+/// What the caller adds to this rank's blob beyond its obs state.
+struct StepInput {
+  /// Encode the phase, wait, counter and histogram sections (only while
+  /// analysis_enabled() too). The memory section rides whenever
+  /// mem_enabled().
+  bool timing = true;
+  /// Driver slots: every rank passes the same number of each. The record
+  /// folds them over ranks in rank order starting from rank 0's value,
+  /// exactly as par::Comm::allreduce does, so the results are
+  /// bit-identical to an allreduce of the same array.
+  std::vector<double> sum;  // folded with a + b
+  std::vector<double> max;  // folded with a > b ? a : b
 };
 
 /// Everything analyze_step derives for one timestep; identical on every
 /// rank (built from the same allgathered data).
 struct StepRecord {
   int step = 0;
+  bool timed = false;        // the timing sections were exchanged
   double cp_length_s = 0;    // sum of per-phase maxima
   double mean_length_s = 0;  // sum of per-phase means
   double cp_imbalance = 1;   // cp_length_s / mean_length_s
@@ -83,15 +127,23 @@ struct StepRecord {
   std::vector<PhaseLatency> latency;    // sorted by name
   // Rank-summed *cumulative* counter values (monotone; Prometheus-ready).
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<GaugeStat> gauges;  // sorted by name
+  MemRecord mem;
+  std::vector<double> sum, max;  // folded driver slots (StepInput)
 };
 
-/// Collective: exchange this rank's per-phase time and wait deltas since
-/// the previous analyze_step (or world start) and return the stitched
-/// step record. Every rank of `comm` must call it together; rank 0 also
-/// appends the record to step_records(). Returns an empty record when
-/// analysis is disabled (still collective-safe: no communication happens).
-StepRecord analyze_step(par::Comm& comm, int step);
+/// Collective: exchange this rank's blob — per-phase time and wait deltas
+/// since the previous timed analyze_step (or world start), the memory
+/// snapshot, and `in`'s driver slots — in one allgatherv, and return the
+/// stitched step record. Every rank of `comm` must call it together with
+/// the same `in.timing` and slot counts; a blob whose sections do not
+/// consume exactly its declared length throws, naming the rank. Rank 0
+/// appends timed records to step_records().
+StepRecord analyze_step(par::Comm& comm, int step, const StepInput& in = {});
+
+/// Rank-local: start the next analyze_step's phase and wait window here,
+/// so work done before this call (a driver's setup) stays out of the next
+/// record's critical path and wait states.
+void begin_window(par::Comm& comm);
 
 /// Records stored by rank 0's analyze_step calls in the current world,
 /// oldest first. Read from the main thread after par::run, or clear
@@ -128,48 +180,6 @@ std::string latency_json(const StepRecord& rec);
 /// the source of the Prometheus histogram series and the bench::Reporter
 /// percentile rows. Sorted by name; copied under the analysis lock.
 std::vector<std::pair<std::string, Histogram>> merged_histograms();
-
-// ---- memory aggregation (obs/mem.hpp across ranks) ---------------------
-
-/// One memory scope reduced over ranks.
-struct MemScopeStat {
-  std::string scope;        // full "subsystem.detail" name
-  std::uint64_t total = 0;  // summed over ranks
-  std::uint64_t max = 0;    // worst single rank
-  int argmax = -1;
-};
-
-/// Everything analyze_memory derives for one timestep; identical on every
-/// rank. `enabled` is false (and nothing else valid) when obs::mem is off.
-struct MemRecord {
-  int step = 0;
-  bool enabled = false;
-  int ranks = 0;
-  // Accounted (registry) bytes per rank.
-  std::uint64_t acc_min = 0, acc_max = 0, acc_total = 0;
-  double acc_median = 0, acc_mean = 0, acc_imbalance = 1;
-  int acc_argmax = -1;
-  std::vector<std::uint64_t> acc_by_rank;  // drift detector input
-  std::uint64_t acc_hwm_max = 0;  // worst rank's accounted high-water mark
-  std::string acc_hwm_phase;      // phase it was set in ("" = unattributed)
-  // Process RSS (identical across in-process ranks; kept per rank so the
-  // schema survives a real-MPI backend).
-  bool rss_available = false;
-  std::uint64_t rss_min = 0, rss_max = 0;
-  double rss_mean = 0, rss_imbalance = 1;
-  int rss_argmax = -1;
-  std::uint64_t rss_hwm_max = 0;  // max over ranks of sampled-peak RSS
-  std::string rss_hwm_phase;
-  std::vector<MemScopeStat> scopes;       // full names, sorted
-  std::vector<MemScopeStat> subsystems;   // grouped by prefix before '.'
-};
-
-/// Collective: allgather every rank's accounted bytes, HWMs, RSS sample,
-/// and scope snapshot, and return the stitched record. Every rank of
-/// `comm` must call it together. When obs::mem is disabled no
-/// communication happens (the gate is process-global, so all ranks
-/// branch the same way).
-MemRecord analyze_memory(par::Comm& comm, int step);
 
 /// The telemetry "memory" block: {"available":..,"accounted":{..},
 /// "rss":{..},"subsystems":[..],"scopes":[..]}. Subsystems group scopes

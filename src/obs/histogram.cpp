@@ -102,10 +102,12 @@ Histogram Histogram::delta_since(const Histogram& base) const {
   d.sum_ = std::max(0.0, sum_ - base.sum_);
   if (d.count_ > 0) {
     // Window extremes are unknown exactly (cumulative min/max do not
-    // difference); the bucket midpoints bound the quantile clamp with the
-    // same <= sqrt(growth) - 1 error as the quantiles themselves.
-    d.min_ = bucket_mid(lo);
-    d.max_ = bucket_mid(hi);
+    // difference). Every sample lies at or below its bucket's upper edge
+    // and the largest one at or below the window sum, so the smaller of
+    // the two keeps max <= sum <= count * max (and is exact for a single
+    // sample). The low end is the first bucket's midpoint, capped at max.
+    d.max_ = std::min(bucket_upper(hi), d.sum_);
+    d.min_ = std::min(bucket_mid(lo), d.max_);
   }
   return d;
 }

@@ -85,7 +85,7 @@ MemHwm mem_hwm(int rank);
 /// scopes omitted. Call after par::run has joined.
 std::vector<std::pair<std::string, std::uint64_t>> aggregate_mem();
 /// All non-zero scopes of the calling thread's rank, sorted by name
-/// (the per-rank blob obs::analysis::analyze_memory exchanges).
+/// (the memory section of obs::analysis::analyze_step's per-rank blob).
 std::vector<std::pair<std::string, std::uint64_t>> mem_snapshot();
 
 // ---- RAII tag for transients ------------------------------------------

@@ -72,7 +72,6 @@ struct RankSlot {
   // Duration histograms (keyed like `waits` by the name literal's
   // address; hist_samples re-merges by content).
   std::unordered_map<const char*, Histogram> hists;
-  std::unordered_map<const char*, double> gauges;
   // Wait-state accounting (keyed by the phase-name literal's address —
   // phase names are string literals, so the pointer is a stable key; the
   // aggregation layer re-merges by content).
@@ -336,22 +335,6 @@ std::vector<std::pair<std::string, std::uint64_t>> counter_snapshot() {
     if (slot->counters[id] > 0) out.emplace_back(names[id], slot->counters[id]);
   std::sort(out.begin(), out.end());
   return out;
-}
-
-// ---- gauges ------------------------------------------------------------
-
-void gauge_set(const char* name, double value) {
-  RankSlot* slot = tl_slot;
-  if (slot == nullptr) return;
-  slot->gauges[name] = value;
-}
-
-std::vector<std::pair<std::string, double>> gauge_snapshot() {
-  const RankSlot* slot = tl_slot;
-  if (slot == nullptr) return {};
-  std::map<std::string, double> merged;
-  for (const auto& [name, v] : slot->gauges) merged[name] = v;
-  return {merged.begin(), merged.end()};
 }
 
 // ---- histograms --------------------------------------------------------

@@ -279,18 +279,6 @@ std::vector<std::pair<std::string, std::uint64_t>> aggregate_counters();
 /// exchange so cross-rank totals never require reading foreign slots.
 std::vector<std::pair<std::string, std::uint64_t>> counter_snapshot();
 
-// ---- gauges ------------------------------------------------------------
-//
-// Instantaneous per-rank values (local element count, owned dofs, queue
-// depths): set-overwrite semantics, shipped in the per-step analysis
-// exchange and reduced to {sum, max} across ranks — how the metrics
-// endpoint learns global mesh statistics without any extra collective.
-
-/// Overwrite this rank's gauge `name` (string literal; no-op unbound).
-void gauge_set(const char* name, double value);
-/// All gauges of the calling thread's rank, sorted by name.
-std::vector<std::pair<std::string, double>> gauge_snapshot();
-
 // ---- phases -----------------------------------------------------------
 
 /// Add `seconds` to this rank's accumulator for `name` (no-op unbound).

@@ -10,20 +10,14 @@
 
 namespace alps::rhea {
 
-PhysicsDiagnostics compute_physics_diagnostics(
-    par::Comm& comm, const mesh::Mesh& m,
-    std::span<const std::array<double, fem::kQuad>> jxw,
-    std::span<const double> temperature, std::span<const double> solution,
-    double kappa) {
+DiagnosticSums diagnostic_partials(
+    const mesh::Mesh& m, std::span<const std::array<double, fem::kQuad>> jxw,
+    std::span<const double> temperature, std::span<const double> solution) {
   if (jxw.size() != m.elements.size())
     throw std::invalid_argument(
-        "compute_physics_diagnostics: one weight row per local element");
+        "diagnostic_partials: one weight row per local element");
   const auto& shapes = fem::shape_values();
-  // Local quadrature sums: volume, u_z T, |u|^2, T; then -t_min and t_max
-  // over owned dofs. Elements are owned leaves (never replicated across
-  // ranks), so one allreduce that sums the first four slots and takes the
-  // max of the last two yields the global integrals and extrema.
-  std::array<double, 6> sums{};
+  DiagnosticSums s;
   std::array<double, 8> te, ue[3];
   for (std::size_t e = 0; e < m.elements.size(); ++e) {
     // Gather nodal values through the hanging-node constraints.
@@ -57,10 +51,10 @@ PhysicsDiagnostics compute_physics_diagnostics(
               n * ue[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)];
       }
       const double w = jxw[e][static_cast<std::size_t>(q)];
-      sums[0] += w;
-      sums[1] += w * uq[2] * tq;
-      sums[2] += w * (uq[0] * uq[0] + uq[1] * uq[1] + uq[2] * uq[2]);
-      sums[3] += w * tq;
+      s.sum[0] += w;
+      s.sum[1] += w * uq[2] * tq;
+      s.sum[2] += w * (uq[0] * uq[0] + uq[1] * uq[1] + uq[2] * uq[2]);
+      s.sum[3] += w * tq;
     }
   }
   double tmin = std::numeric_limits<double>::infinity();
@@ -70,28 +64,44 @@ PhysicsDiagnostics compute_physics_diagnostics(
     tmin = t < tmin ? t : tmin;
     tmax = t > tmax ? t : tmax;
   }
-  sums[4] = -tmin;  // max(-a) == -min(a) exactly
-  sums[5] = tmax;
-  sums = comm.allreduce(
-      sums, [](const std::array<double, 6>& a, const std::array<double, 6>& b) {
-        std::array<double, 6> r;
-        for (std::size_t i = 0; i < 4; ++i) r[i] = a[i] + b[i];
-        for (std::size_t i = 4; i < 6; ++i) r[i] = a[i] > b[i] ? a[i] : b[i];
-        return r;
-      });
+  s.max[0] = -tmin;  // max(-a) == -min(a) exactly
+  s.max[1] = tmax;
+  return s;
+}
 
+PhysicsDiagnostics finish_diagnostics(const DiagnosticSums& global,
+                                      double kappa) {
   PhysicsDiagnostics d;
-  const double vol = sums[0];
+  const double vol = global.sum[0];
   if (vol > 0.0) {
-    d.v_rms = std::sqrt(sums[2] / vol);
-    d.t_mean = sums[3] / vol;
-    if (kappa > 0.0) d.nusselt = 1.0 + sums[1] / vol / kappa;
+    d.v_rms = std::sqrt(global.sum[2] / vol);
+    d.t_mean = global.sum[3] / vol;
+    if (kappa > 0.0) d.nusselt = 1.0 + global.sum[1] / vol / kappa;
   }
-  d.t_min = -sums[4];
-  d.t_max = sums[5];
+  d.t_min = -global.max[0];
+  d.t_max = global.max[1];
   if (!(d.t_min <= d.t_max)) d.t_min = d.t_max = 0.0;  // no owned dofs
   return d;
 }
+
+PhysicsDiagnostics compute_physics_diagnostics(
+    par::Comm& comm, const mesh::Mesh& m,
+    std::span<const std::array<double, fem::kQuad>> jxw,
+    std::span<const double> temperature, std::span<const double> solution,
+    double kappa) {
+  const DiagnosticSums global = comm.allreduce(
+      diagnostic_partials(m, jxw, temperature, solution),
+      [](const DiagnosticSums& a, const DiagnosticSums& b) {
+        DiagnosticSums r;
+        for (std::size_t i = 0; i < r.sum.size(); ++i)
+          r.sum[i] = a.sum[i] + b.sum[i];
+        for (std::size_t i = 0; i < r.max.size(); ++i)
+          r.max[i] = a.max[i] > b.max[i] ? a.max[i] : b.max[i];
+        return r;
+      });
+  return finish_diagnostics(global, kappa);
+}
+
 
 PhysicsDiagnostics compute_physics_diagnostics(
     par::Comm& comm, const mesh::Mesh& m, const forest::Connectivity& conn,

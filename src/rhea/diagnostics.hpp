@@ -6,11 +6,15 @@
 // discretization. Emitted into the telemetry stream by the Simulation
 // timestep loop.
 //
-// Per-step cost: a gather of nodal values through the hanging-node
-// constraints plus one allreduce. The quadrature weights |J|·w depend only
-// on the mesh, so the driver passes the ones the energy assembly already
-// computed (energy::EnergySolver::element_jxw()) and no step recomputes
-// element geometry.
+// The computation splits in two: rank-local partial sums (a gather of
+// nodal values through the hanging-node constraints), reduced over ranks
+// by the caller, then a local finish. The Simulation driver ships the
+// partials in its per-step exchange (obs::analysis::analyze_step), so the
+// diagnostics add no collective of their own; the quadrature weights
+// |J|·w depend only on the mesh, so it passes the ones the energy
+// assembly already computed (energy::EnergySolver::element_jxw()) and no
+// step recomputes element geometry. compute_physics_diagnostics bundles
+// the three steps around one allreduce for standalone callers.
 
 #include <array>
 #include <span>
@@ -33,10 +37,27 @@ struct PhysicsDiagnostics {
   double t_mean = 0.0;  // volume-averaged
 };
 
-/// Compute the diagnostics for nodal temperature (n_local) and 4-component
+/// One rank's share: the quadrature integrals of 1, u_z T, |u|^2 and T
+/// over its elements (`sum`, added over ranks) and -t_min, t_max over its
+/// owned dofs (`max`, maxed over ranks with a > b ? a : b).
+struct DiagnosticSums {
+  std::array<double, 4> sum{};
+  std::array<double, 2> max{};
+};
+
+/// Local partial sums for nodal temperature (n_local) and 4-component
 /// velocity+pressure solution (4 * n_local), given the quadrature weights
 /// of every local element of `m` (one row per element, else
-/// std::invalid_argument). Collective (one allreduce).
+/// std::invalid_argument).
+DiagnosticSums diagnostic_partials(
+    const mesh::Mesh& m, std::span<const std::array<double, fem::kQuad>> jxw,
+    std::span<const double> temperature, std::span<const double> solution);
+
+/// The diagnostics from the partial sums reduced over all ranks.
+PhysicsDiagnostics finish_diagnostics(const DiagnosticSums& global,
+                                      double kappa);
+
+/// diagnostic_partials, one allreduce, finish_diagnostics. Collective.
 PhysicsDiagnostics compute_physics_diagnostics(
     par::Comm& comm, const mesh::Mesh& m,
     std::span<const std::array<double, fem::kQuad>> jxw,

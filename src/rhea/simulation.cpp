@@ -73,6 +73,16 @@ std::array<std::int64_t, 20> level_histogram(
   return allreduce_sum_array(comm, local_level_histogram(tree));
 }
 
+// Driver slots of the per-step exchange (obs::analysis::StepInput).
+// Summed over ranks: the level histogram, the step's V-cycles, the owned
+// element count and the four diagnostic integrals. Maxed: the owned
+// element count, -t_min and t_max, and the non-finite flag.
+constexpr std::size_t kLevels = 20;
+constexpr std::size_t kVcycles = kLevels, kElements = kLevels + 1,
+                      kDiagSum = kLevels + 2, kSumSlots = kDiagSum + 4;
+constexpr std::size_t kMaxElements = 0, kDiagMax = 1, kNonFinite = 3,
+                      kMaxSlots = 4;
+
 }  // namespace
 
 Simulation::Simulation(par::Comm& comm, SimConfig cfg)
@@ -134,6 +144,7 @@ void Simulation::initialize(
   }
   solution_.assign(static_cast<std::size_t>(mesh_.n_local) * 4, 0.0);
   update_velocity();
+  obs::analysis::begin_window(*comm_);  // setup stays out of step 1
 }
 
 void Simulation::update_velocity() {
@@ -297,7 +308,6 @@ void Simulation::run(int steps) {
   const obs::CounterId vcycles_id = obs::wellknown::amg_vcycles();
   for (int s = 0; s < steps; ++s) {
     const std::uint64_t vc0 = obs::counter_value(comm_->rank(), vcycles_id);
-    const PhaseTimers phases0 = timers();
     bool adapted = false;
     // True only when a Stokes solve ran THIS step: last_stokes_ persists
     // across steps, and the endpoint's stagnation tracker must not recount
@@ -339,62 +349,56 @@ void Simulation::run(int steps) {
         !temperature_.empty())
       temperature_[0] = std::numeric_limits<double>::quiet_NaN();
 
-    // The analyzer exchange is collective, so the gate must evaluate
-    // identically on every rank (all three flags are process-global). The
-    // metrics endpoint rides on this same exchange — its element counts
-    // and latency histograms travel in the analysis blob, so serving adds
-    // zero collectives per step.
-    obs::analysis::StepRecord arec;
-    const bool analyzed =
-        obs::analysis_enabled() &&
-        (obs::telemetry_enabled() || obs::serve_active());
-    if (analyzed) {
-      obs::gauge_set("mesh.local_elements",
-                     static_cast<double>(forest_.tree().num_local()));
-      arec = obs::analysis::analyze_step(*comm_, steps_);
-    }
-
-    // Memory accounting + aggregation every step (decoupled from the
-    // analysis gate: the drift detector must run even without telemetry).
-    // analyze_memory is collective; mem_enabled() is process-global.
-    obs::analysis::MemRecord mrec;
-    std::string drift_json;
-    const bool mem_on = obs::mem_enabled();
-    if (mem_on) {
-      account_memory();
-      mrec = obs::analysis::analyze_memory(*comm_, steps_);
-      drift_json = update_mem_drift(mrec, adapted);
-    }
-
-    if (obs::telemetry_enabled()) {
-      // This step's phase seconds on the calling rank (rank 0 writes them
-      // into the "timings" telemetry block).
-      PhaseTimers pd = timers();
-      pd.mark_elements -= phases0.mark_elements;
-      pd.coarsen_refine -= phases0.coarsen_refine;
-      pd.balance -= phases0.balance;
-      pd.partition -= phases0.partition;
-      pd.extract_mesh -= phases0.extract_mesh;
-      pd.interpolate_fields -= phases0.interpolate_fields;
-      pd.transfer_fields -= phases0.transfer_fields;
-      pd.time_integration -= phases0.time_integration;
-      pd.stokes_assemble -= phases0.stokes_assemble;
-      pd.amg_setup -= phases0.amg_setup;
-      pd.amg_apply -= phases0.amg_apply;
-      pd.minres -= phases0.minres;
-      emit_step_telemetry(
-          dt, obs::counter_value(comm_->rank(), vcycles_id) - vc0, adapted,
-          pd, analyzed ? &arec : nullptr, mem_on ? &mrec : nullptr,
-          drift_json);
-    }
-    if (obs::serve_active() && analyzed && comm_->rank() == 0)
-      publish_metrics(dt, stokes_solved, arec, mem_on ? &mrec : nullptr);
-    // The drift record is in the telemetry tail by now, so the flight
-    // recorder captures it. The trip is computed from allgathered data,
-    // so every rank reaches this together.
-    if (mem_drift_trip_) mem_drift_panic();
-    if (cfg_.sentinels) check_sentinels();
+    report_step(dt, adapted, stokes_solved,
+                obs::counter_value(comm_->rank(), vcycles_id) - vc0);
   }
+}
+
+void Simulation::report_step(double dt, bool adapted, bool stokes_solved,
+                             std::uint64_t step_vcycles) {
+  // One collective carries everything this step reports, and it runs iff
+  // some consumer needs it. Every gate is process-global, so all ranks
+  // branch the same way.
+  const bool telemetry = obs::telemetry_enabled();
+  const bool serving = obs::serve_active();
+  const bool mem_on = obs::mem_enabled();
+  if (!(cfg_.sentinels || mem_on || telemetry || serving)) return;
+
+  obs::analysis::StepInput in;
+  in.timing = telemetry || serving;
+  in.sum.assign(kSumSlots, 0.0);
+  in.max.assign(kMaxSlots, 0.0);
+  in.sum[kElements] = in.max[kMaxElements] =
+      static_cast<double>(forest_.tree().num_local());
+  if (telemetry) {
+    const std::array<std::int64_t, kLevels> hist =
+        local_level_histogram(forest_.tree());
+    std::copy(hist.begin(), hist.end(), in.sum.begin());
+    in.sum[kVcycles] = static_cast<double>(step_vcycles);
+    // energy_ was (re)built on the current mesh earlier in this step.
+    const DiagnosticSums d = diagnostic_partials(
+        mesh_, energy_->element_jxw(), temperature_, solution_);
+    std::copy(d.sum.begin(), d.sum.end(), in.sum.begin() + kDiagSum);
+    std::copy(d.max.begin(), d.max.end(), in.max.begin() + kDiagMax);
+  }
+  if (cfg_.sentinels) in.max[kNonFinite] = has_non_finite() ? 1.0 : 0.0;
+  if (mem_on) account_memory();
+  const obs::analysis::StepRecord rec =
+      obs::analysis::analyze_step(*comm_, steps_, in);
+
+  // The sinks below read `rec` only and issue no collective; only the
+  // trip paths at the end synchronize.
+  std::string drift_json;
+  if (rec.mem.enabled) drift_json = update_mem_drift(rec.mem, adapted);
+  if (telemetry && comm_->rank() == 0)
+    emit_step_telemetry(dt, adapted, rec, drift_json);
+  if (serving && rec.timed && comm_->rank() == 0)
+    publish_metrics(dt, stokes_solved, rec);
+  // The drift record is in the telemetry tail by now, so the flight
+  // recorder captures it. Both trips are read from the exchanged record,
+  // so every rank reaches them together.
+  if (mem_drift_trip_) mem_drift_panic();
+  if (rec.max[kNonFinite] > 0.0) sentinel_trip();
 }
 
 void Simulation::account_memory() {
@@ -531,7 +535,7 @@ std::string Simulation::update_mem_drift(const obs::analysis::MemRecord& mrec,
 }
 
 void Simulation::mem_drift_panic() {
-  // Mirrors check_sentinels: the trip was derived from allgathered data,
+  // Mirrors sentinel_trip: the trip was derived from allgathered data,
   // so every rank arrives here together and the barriers keep the other
   // rank threads quiescent while rank 0 reads their obs slots.
   comm_->barrier();
@@ -543,46 +547,28 @@ void Simulation::mem_drift_panic() {
   throw SentinelError(mem_drift_reason_);
 }
 
-void Simulation::emit_step_telemetry(
-    double dt, std::uint64_t step_vcycles, bool adapted,
-    const PhaseTimers& step_phases, const obs::analysis::StepRecord* analysis,
-    const obs::analysis::MemRecord* mem, const std::string& drift_json) {
-  // Collective statistics first (every rank participates), then one rank
-  // writes the record. One allreduce carries the level histogram and the
-  // V-cycles (summed) and the owned element count (maxed, last slot).
-  constexpr std::size_t kLevels = 20, kVcycles = kLevels, kMaxElems = 21;
-  std::array<std::int64_t, 22> stats{};
-  const std::array<std::int64_t, kLevels> hist =
-      local_level_histogram(forest_.tree());
-  std::copy(hist.begin(), hist.end(), stats.begin());
-  stats[kVcycles] = static_cast<std::int64_t>(step_vcycles);
-  stats[kMaxElems] = forest_.tree().num_local();
-  stats = comm_->allreduce(
-      stats, [](const std::array<std::int64_t, 22>& a,
-                const std::array<std::int64_t, 22>& b) {
-        std::array<std::int64_t, 22> r;
-        for (std::size_t i = 0; i < kMaxElems; ++i) r[i] = a[i] + b[i];
-        r[kMaxElems] = std::max(a[kMaxElems], b[kMaxElems]);
-        return r;
-      });
-  std::int64_t total_elements = 0;
-  int max_level = 0;
-  for (std::size_t l = 0; l < kLevels; ++l) {
-    total_elements += stats[l];
-    if (stats[l] > 0) max_level = static_cast<int>(l);
-  }
+void Simulation::emit_step_telemetry(double dt, bool adapted,
+                                     const obs::analysis::StepRecord& arec,
+                                     const std::string& drift_json) {
+  const std::int64_t total_elements =
+      static_cast<std::int64_t>(arec.sum[kElements]);
   const double imbalance =
       total_elements > 0
-          ? static_cast<double>(stats[kMaxElems]) * comm_->size() /
-                static_cast<double>(total_elements)
+          ? arec.max[kMaxElements] * comm_->size() / arec.sum[kElements]
           : 1.0;
-  const std::uint64_t vcycles = static_cast<std::uint64_t>(stats[kVcycles]);
-  // energy_ was (re)built on the current mesh earlier in this step.
-  const PhysicsDiagnostics phys = compute_physics_diagnostics(
-      *comm_, mesh_, energy_->element_jxw(), temperature_, solution_,
-      cfg_.energy.kappa);
+  std::array<std::int64_t, kLevels> per_level{};
+  std::size_t n_levels = 1;
+  for (std::size_t l = 0; l < kLevels; ++l) {
+    per_level[l] = static_cast<std::int64_t>(arec.sum[l]);
+    if (per_level[l] > 0) n_levels = l + 1;
+  }
+  DiagnosticSums global;
+  std::copy_n(arec.sum.begin() + kDiagSum, global.sum.size(),
+              global.sum.begin());
+  std::copy_n(arec.max.begin() + kDiagMax, global.max.size(),
+              global.max.begin());
+  const PhysicsDiagnostics phys = finish_diagnostics(global, cfg_.energy.kappa);
 
-  if (comm_->rank() != 0) return;
   obs::TelemetryRecord rec;
   rec.field("step", static_cast<std::int64_t>(steps_))
       .field("time", time_)
@@ -592,12 +578,10 @@ void Simulation::emit_step_telemetry(
       .field("dofs", mesh_.n_global)
       .field("partition_imbalance", imbalance)
       .field("per_level",
-             std::span<const std::int64_t>(stats.data(),
-                                           static_cast<std::size_t>(max_level) +
-                                               1))
+             std::span<const std::int64_t>(per_level.data(), n_levels))
       .field("picard_iterations",
              static_cast<std::int64_t>(last_stokes_.iterations))
-      .field("amg_vcycles", vcycles);
+      .field("amg_vcycles", static_cast<std::uint64_t>(arec.sum[kVcycles]));
   if (!last_stokes_.solves.empty()) {
     const la::SolveResult& kr = last_stokes_.solves.back();
     rec.field("minres_iterations", static_cast<std::int64_t>(kr.iterations))
@@ -609,54 +593,53 @@ void Simulation::emit_step_telemetry(
       .field("t_min", phys.t_min)
       .field("t_max", phys.t_max)
       .field("t_mean", phys.t_mean);
-  {
-    // Rank 0's per-phase seconds for this step: the AMR cycle stages (all
-    // ~0 on non-adapting steps) and the solver phases so consumers can
-    // compute the AMR share of the step (Fig. 10).
+  if (arec.timed) {
+    // Slowest-rank seconds per phase this step (the critical-path maxima):
+    // the AMR cycle stages (0 on non-adapting steps) and the solver
+    // phases, so consumers can compute the AMR share of the step
+    // (Fig. 10). amg.apply runs inside stokes.minres.
+    const auto cp = [&arec](const char* phase) {
+      for (const obs::analysis::PhaseCritical& c : arec.critical)
+        if (c.phase == phase) return c.cp_s;
+      return 0.0;
+    };
     std::ostringstream os;
     os.precision(9);
     os << "{\"adapted\":" << (adapted ? "true" : "false")
-       << ",\"mark\":" << step_phases.mark_elements
-       << ",\"coarsen_refine\":" << step_phases.coarsen_refine
-       << ",\"balance\":" << step_phases.balance
-       << ",\"partition\":" << step_phases.partition
-       << ",\"extract\":" << step_phases.extract_mesh
-       << ",\"interpolate\":" << step_phases.interpolate_fields
-       << ",\"transfer\":" << step_phases.transfer_fields
-       << ",\"time_integration\":" << step_phases.time_integration
+       << ",\"mark\":" << cp("amr.mark_elements")
+       << ",\"coarsen_refine\":" << cp("amr.coarsen_refine")
+       << ",\"balance\":" << cp("amr.balance")
+       << ",\"partition\":" << cp("amr.partition")
+       << ",\"extract\":" << cp("amr.extract_mesh")
+       << ",\"interpolate\":" << cp("amr.interpolate_fields")
+       << ",\"transfer\":" << cp("amr.transfer_fields")
+       << ",\"time_integration\":" << cp("energy.time_integration")
        << ",\"stokes\":"
-       << step_phases.minres + step_phases.amg_setup + step_phases.amg_apply +
-              step_phases.stokes_assemble
+       << cp("stokes.assemble") + cp("amg.setup") + cp("stokes.minres")
        << "}";
-    rec.field_json("timings", os.str());
+    rec.field_json("timings", os.str())
+        .field_json("critical_path", obs::analysis::critical_path_json(arec))
+        .field_json("wait_states", obs::analysis::wait_states_json(arec))
+        .field_json("latency", obs::analysis::latency_json(arec));
   }
-  if (analysis != nullptr)
-    rec.field_json("critical_path",
-                   obs::analysis::critical_path_json(*analysis))
-        .field_json("wait_states", obs::analysis::wait_states_json(*analysis))
-        .field_json("latency", obs::analysis::latency_json(*analysis));
-  if (mem != nullptr)
-    rec.field_json("memory",
-                   obs::analysis::memory_json(*mem, mesh_.n_global, drift_json));
+  if (arec.mem.enabled)
+    rec.field_json("memory", obs::analysis::memory_json(
+                                 arec.mem, mesh_.n_global, drift_json));
   obs::telemetry_emit(rec);
 }
 
 void Simulation::publish_metrics(double dt, bool stokes_solved,
-                                 const obs::analysis::StepRecord& arec,
-                                 const obs::analysis::MemRecord* mem) {
+                                 const obs::analysis::StepRecord& arec) {
   obs::MetricsSnapshot snap;
   snap.step = steps_;
   snap.sim_time = time_;
   snap.dt = dt;
   snap.dofs = mesh_.n_global;
   snap.ranks = comm_->size();
-  for (const obs::analysis::GaugeStat& g : arec.gauges) {
-    if (g.name == "mesh.local_elements") {
-      snap.elements = static_cast<std::int64_t>(g.sum);
-      snap.partition_imbalance =
-          g.sum > 0 ? g.max * comm_->size() / g.sum : 1.0;
-    }
-  }
+  const double elements = arec.sum[kElements];
+  snap.elements = static_cast<std::int64_t>(elements);
+  snap.partition_imbalance =
+      elements > 0 ? arec.max[kMaxElements] * comm_->size() / elements : 1.0;
   snap.cp_imbalance = arec.cp_imbalance;
   snap.solver_ran = stokes_solved;
   if (stokes_solved && !last_stokes_.solves.empty()) {
@@ -671,25 +654,26 @@ void Simulation::publish_metrics(double dt, bool stokes_solved,
   for (const obs::analysis::PhaseWaits& w : arec.waits)
     snap.wait_blocked_s +=
         w.w.late_sender_s + w.w.transfer_s + w.w.collective_s;
-  if (mem != nullptr && mem->enabled) {
+  if (arec.mem.enabled) {
     snap.mem_available = true;
-    snap.mem_accounted_total = mem->acc_total;
-    snap.mem_rss_max = mem->rss_available ? mem->rss_max : 0;
+    snap.mem_accounted_total = arec.mem.acc_total;
+    snap.mem_rss_max = arec.mem.rss_available ? arec.mem.rss_max : 0;
   }
   obs::metrics_publish(snap);
 }
 
-void Simulation::check_sentinels() {
-  bool bad = false;
-  for (std::int64_t i = 0; i < mesh_.n_owned && !bad; ++i)
-    bad = !std::isfinite(temperature_[static_cast<std::size_t>(i)]);
-  for (std::size_t i = 0;
-       i < static_cast<std::size_t>(mesh_.n_owned) * 4 && !bad; ++i)
-    bad = !std::isfinite(solution_[i]);
-  if (!comm_->allreduce_or(bad)) return;
+bool Simulation::has_non_finite() const {
+  for (std::int64_t i = 0; i < mesh_.n_owned; ++i)
+    if (!std::isfinite(temperature_[static_cast<std::size_t>(i)])) return true;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(mesh_.n_owned) * 4; ++i)
+    if (!std::isfinite(solution_[i])) return true;
+  return false;
+}
 
-  // Every rank reaches this point together (collective trip), so the
-  // collective snapshot and the barriers below are safe.
+void Simulation::sentinel_trip() {
+  // Every rank reaches this point together (the flag was folded in the
+  // step exchange), so the collective snapshot and the barriers below are
+  // safe.
   const std::string reason =
       "sentinel: non-finite temperature/solution after step " +
       std::to_string(steps_) + " (t = " + std::to_string(time_) + ")";

@@ -89,9 +89,11 @@ struct SimConfig {
   int stokes_every = 1;        // velocity update cadence (convection mode)
 
   /// Scan temperature and solution for NaN/Inf after every step (one local
-  /// sweep + one allreduce_or). A trip writes the flight-recorder bundle
-  /// (obs::panic_dump + a VTK field snapshot under ALPS_DUMP_DIR) on every
-  /// rank's behalf and throws SentinelError.
+  /// sweep). The flag rides the per-step exchange, which therefore runs
+  /// while this is on even with every obs pillar off or compiled out. A
+  /// trip writes the flight-recorder bundle (obs::panic_dump + a VTK field
+  /// snapshot under ALPS_DUMP_DIR) on every rank's behalf and throws
+  /// SentinelError.
   bool sentinels = true;
   /// Test hook: poison temperature_[0] on rank 0 at this step number to
   /// exercise the sentinel / flight-recorder path (-1 = never).
@@ -168,19 +170,24 @@ class Simulation {
 
  private:
   void extract_and_rebuild(std::span<const double> element_temps);
-  void emit_step_telemetry(double dt, std::uint64_t step_vcycles, bool adapted,
-                           const PhaseTimers& step_phases,
-                           const obs::analysis::StepRecord* analysis,
-                           const obs::analysis::MemRecord* mem,
+  /// Build this rank's driver slots, run the step exchange when any
+  /// consumer is on (sentinels, obs::mem, telemetry, serve), and hand the
+  /// record to every sink. Collective; the sinks below issue none.
+  void report_step(double dt, bool adapted, bool stokes_solved,
+                   std::uint64_t step_vcycles);
+  /// Rank 0 only: render the record as one telemetry JSONL line.
+  void emit_step_telemetry(double dt, bool adapted,
+                           const obs::analysis::StepRecord& arec,
                            const std::string& drift_json);
-  /// Rank 0 only: fill a MetricsSnapshot from this step's analysis record
-  /// (element gauges, counters, cumulative latency histograms all arrived
-  /// in the analysis exchange — no extra collectives) and hand it to the
-  /// obs::serve double buffer.
+  /// Rank 0 only: fill a MetricsSnapshot from the record and hand it to
+  /// the obs::serve double buffer.
   void publish_metrics(double dt, bool stokes_solved,
-                       const obs::analysis::StepRecord& arec,
-                       const obs::analysis::MemRecord* mem);
-  void check_sentinels();
+                       const obs::analysis::StepRecord& arec);
+  /// NaN/Inf anywhere in the owned temperature or solution.
+  bool has_non_finite() const;
+  /// Collective panic path for a tripped NaN sentinel: VTK snapshot,
+  /// barrier, rank-0 panic_dump, barrier, throw SentinelError.
+  [[noreturn]] void sentinel_trip();
 
   /// Pull-model byte accounting: push every subsystem's current
   /// memory_bytes() into its obs::mem scope (once per step, cold path).
@@ -192,7 +199,7 @@ class Simulation {
   std::string update_mem_drift(const obs::analysis::MemRecord& mrec,
                                bool adapted);
   /// Collective panic path for a tripped drift detector (mirrors
-  /// check_sentinels: barrier, rank-0 panic_dump, barrier, throw).
+  /// sentinel_trip: barrier, rank-0 panic_dump, barrier, throw).
   [[noreturn]] void mem_drift_panic();
 
   par::Comm* comm_;
@@ -213,7 +220,7 @@ class Simulation {
   // timesteps; its epoch is bumped on every mesh rebuild.
   amg::HierarchyCache amg_cache_;
   // Drift-detector window: one row per non-adapting step, per-rank
-  // accounted bytes (identical on every rank — analyze_memory allgathers
+  // accounted bytes (identical on every rank — the step exchange carries
   // them — so the trip decision below is collective-safe without another
   // reduction). Cleared on every adaptation.
   std::vector<std::vector<std::uint64_t>> mem_window_;

@@ -1,12 +1,17 @@
 // obs::analysis + obs hardware counters: Scalasca-style wait-state
 // classification (late-sender blame, collective imbalance, achieved
-// overlap), per-step critical-path stitching via analyze_step, Perfetto
+// overlap), per-step critical-path stitching via analyze_step and its
+// driver-slot folds, Perfetto
 // flow-event pairing across ranks, and the perf_event sampling fallback
 // (real counts when permitted, clean "unavailable" otherwise).
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -223,6 +228,46 @@ TEST_F(AnalysisTest, AnalyzeStepIsInertWhenAnalysisIsDisabled) {
   EXPECT_TRUE(rec.critical.empty());
   EXPECT_TRUE(rec.waits.empty());
   EXPECT_TRUE(obs::wait_samples(0).empty());
+}
+
+TEST_F(AnalysisTest, DriverSlotsFoldBitIdenticallyToAllreduce) {
+  // Sums that depend on association order, and a NaN that a > b ? a : b
+  // keeps or drops depending on its side: the fold must reproduce
+  // par::Comm::allreduce's rank order exactly.
+  par::run(4, [](par::Comm& c) {
+    const double big[] = {1e16, 0.3, -1e16, 0.7};
+    const double v = big[c.rank()];
+    const double w = c.rank() == 2 ? std::numeric_limits<double>::quiet_NaN()
+                                   : 0.1 * c.rank();
+    obs::analysis::StepInput in;
+    in.timing = false;
+    in.sum = {v, w};
+    in.max = {-v, w};
+    const obs::analysis::StepRecord rec = obs::analysis::analyze_step(c, 1, in);
+    const auto add = [](double a, double b) { return a + b; };
+    const auto max = [](double a, double b) { return a > b ? a : b; };
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    ASSERT_EQ(rec.sum.size(), 2u);
+    ASSERT_EQ(rec.max.size(), 2u);
+    EXPECT_EQ(bits(rec.sum[0]), bits(c.allreduce(v, add)));
+    EXPECT_EQ(bits(rec.sum[1]), bits(c.allreduce(w, add)));
+    EXPECT_EQ(bits(rec.max[0]), bits(c.allreduce(-v, max)));
+    EXPECT_EQ(bits(rec.max[1]), bits(c.allreduce(w, max)));
+  });
+}
+
+TEST_F(AnalysisTest, MismatchedDriverSlotsThrowNamingTheRank) {
+  par::run(2, [](par::Comm& c) {
+    obs::analysis::StepInput in;
+    in.sum.assign(c.rank() == 1 ? 3 : 2, 1.0);
+    try {
+      (void)obs::analysis::analyze_step(c, 1, in);
+      ADD_FAILURE() << "mismatched slot counts were accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("rank 1"), std::string::npos)
+          << e.what();
+    }
+  });
 }
 
 TEST_F(AnalysisTest, FlowEventsPairAcrossRanksWithMatchingIds) {

@@ -1,7 +1,7 @@
 // Memory observability (DESIGN.md §12): the obs::mem scope registry
 // (set/add, RAII transients, per-rank slots and merge), HWM phase
 // attribution, the RSS sampler's clean unavailable fallback, the
-// analyze_memory cross-rank aggregation, and the rhea drift detector's
+// analyze_step memory aggregation, and the rhea drift detector's
 // injection hook tripping the flight recorder with the leaking rank
 // named in the bundle.
 
@@ -190,15 +190,16 @@ TEST_F(MemAnalysisTest, AnalyzeMemoryGathersRankStats) {
   par::run(4, [&](par::Comm& c) {
     obs::mem_set(a, static_cast<std::uint64_t>(c.rank() + 1) * 100);
     obs::mem_set(b, 50);
-    obs::analysis::MemRecord r = obs::analysis::analyze_memory(c, 7);
-    if (c.rank() == 0) rec = r;
+    const obs::analysis::StepRecord r = obs::analysis::analyze_step(
+        c, 7, {.timing = false, .sum = {}, .max = {}});
+    if (c.rank() == 0) rec = r.mem;
     // The record is identical on every rank (drift decisions are made
     // from it without further communication).
-    EXPECT_EQ(r.acc_total, 1000u + 200u);
-    EXPECT_EQ(r.acc_argmax, 3);
+    EXPECT_EQ(r.step, 7);
+    EXPECT_EQ(r.mem.acc_total, 1000u + 200u);
+    EXPECT_EQ(r.mem.acc_argmax, 3);
   });
   EXPECT_TRUE(rec.enabled);
-  EXPECT_EQ(rec.step, 7);
   EXPECT_EQ(rec.ranks, 4);
   EXPECT_EQ(rec.acc_min, 150u);   // rank 0: 100 + 50
   EXPECT_EQ(rec.acc_max, 450u);   // rank 3: 400 + 50
@@ -229,8 +230,9 @@ TEST_F(MemAnalysisTest, AnalyzeMemoryGathersRankStats) {
 TEST_F(MemAnalysisTest, DisabledAnalyzeReturnsInertRecord) {
   obs::set_mem_enabled(false);
   par::run(2, [&](par::Comm& c) {
-    const obs::analysis::MemRecord r = obs::analysis::analyze_memory(c, 1);
-    EXPECT_FALSE(r.enabled);
+    const obs::analysis::StepRecord r = obs::analysis::analyze_step(
+        c, 1, {.timing = false, .sum = {}, .max = {}});
+    EXPECT_FALSE(r.mem.enabled);
   });
 }
 
@@ -240,8 +242,9 @@ TEST_F(MemAnalysisTest, MemoryJsonEmitsBlockAndCleanRssFallback) {
   obs::analysis::MemRecord rec;
   par::run(2, [&](par::Comm& c) {
     obs::mem_set(obs::mem_scope("gamma.data"), 1 << 10);
-    obs::analysis::MemRecord r = obs::analysis::analyze_memory(c, 3);
-    if (c.rank() == 0) rec = r;
+    const obs::analysis::StepRecord r = obs::analysis::analyze_step(
+        c, 3, {.timing = false, .sum = {}, .max = {}});
+    if (c.rank() == 0) rec = r.mem;
   });
   EXPECT_FALSE(rec.rss_available);
   const std::string json =

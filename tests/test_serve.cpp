@@ -198,6 +198,23 @@ TEST_F(ServeTest, DeltaSinceIsolatesTheStepWindow) {
   EXPECT_LE(std::abs(d.quantile(0.5) - 6e-2), 0.04 * 6e-2);
 }
 
+TEST_F(ServeTest, DeltaSinceBoundsTheSumByCountTimesMax) {
+  // Samples just below a bucket's upper edge sit above its midpoint; the
+  // window max must still satisfy max <= sum <= count * max.
+  Histogram cum;
+  cum.record(1e-3);
+  const Histogram base = cum;
+  const double x = 0.999 * Histogram::bucket_upper(100);
+  cum.record(x);
+  const Histogram one = cum.delta_since(base);
+  EXPECT_NEAR(one.max(), x, 1e-9 * x);  // one sample: the window sum
+  cum.record(x);
+  const Histogram two = cum.delta_since(base);
+  EXPECT_LE(two.max(), two.sum());
+  EXPECT_LE(two.sum(), 2.0 * two.max() * (1 + 1e-12));
+  EXPECT_LE(two.min(), two.max());
+}
+
 TEST_F(ServeTest, CrossRankMergeThroughAnalyzeStepMatchesDirectRecording) {
   // The same fixed sample set, dealt round-robin to P ranks, must stitch
   // into bucket-identical histograms for every P: ship-as-sparse-delta +
