@@ -6,6 +6,7 @@
 #include <fstream>
 #include <thread>
 
+#include "obs/dump.hpp"
 #include "rhea/simulation.hpp"
 
 namespace bench {
@@ -99,20 +100,7 @@ void Reporter::save(const std::string& path) {
   j_.arr_open("obs");
   for (const Snapshot& s : snaps_) {
     j_.obj_open().field("label", s.label);
-    j_.arr_open("phases");
-    for (const auto& p : s.phases) {
-      j_.obj_open()
-          .field("name", p.name)
-          .field("min_s", p.min_s)
-          .field("median_s", p.median_s)
-          .field("max_s", p.max_s)
-          .field("mean_s", p.mean_s)
-          .field("total_s", p.total_s)
-          .field("imbalance", p.imbalance)
-          .field("ranks", p.ranks)
-          .obj_close();
-    }
-    j_.arr_close();
+    j_.field_raw("phases", alps::obs::phases_json(s.phases));
     j_.obj_open("counters");
     for (const auto& [name, value] : s.counters) j_.field(name.c_str(), value);
     j_.obj_close();
@@ -206,20 +194,21 @@ AmrRates calibrate_advection_rates(int init_level, int steps,
       return std::exp(-60.0 * (dx * dx + dy * dy + dz * dz));
     });
     sim.run(steps);
-    const auto& t = sim.timers();
+    using alps::obs::phase_seconds;
     const double ne = static_cast<double>(sim.global_elements());
     const int na = static_cast<int>(sim.adapt_history().size());
     rates.elements = static_cast<long long>(ne);
     rates.steps = steps;
     rates.adapts = na;
-    rates.time_integration = t.time_integration / (ne * steps);
+    rates.time_integration =
+        phase_seconds("energy.time_integration") / (ne * steps);
     const double per_adapt = ne * std::max(1, na);
-    rates.mark = t.mark_elements / per_adapt;
-    rates.coarsen_refine = t.coarsen_refine / per_adapt;
-    rates.balance = t.balance / per_adapt;
-    rates.interpolate = t.interpolate_fields / per_adapt;
-    rates.partition = t.partition / per_adapt;
-    rates.extract = t.extract_mesh / per_adapt;
+    rates.mark = phase_seconds("amr.mark_elements") / per_adapt;
+    rates.coarsen_refine = phase_seconds("amr.coarsen_refine") / per_adapt;
+    rates.balance = phase_seconds("amr.balance") / per_adapt;
+    rates.interpolate = phase_seconds("amr.interpolate_fields") / per_adapt;
+    rates.partition = phase_seconds("amr.partition") / per_adapt;
+    rates.extract = phase_seconds("amr.extract_mesh") / per_adapt;
   });
   return rates;
 }

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "obs/obs.hpp"
 #include "octree/balance.hpp"
 #include "par/runtime.hpp"
 #include "rhea/simulation.hpp"
@@ -77,11 +78,12 @@ int main(int argc, char** argv) {
     if (comm.rank() == 0) {
       std::printf("\nadaptation steps: %zu, mesh balanced: %s\n",
                   sim.adapt_history().size(), balanced ? "yes" : "NO");
-      const auto& t = sim.timers();
-      const double denom = t.time_integration + t.amr_total();
+      const double integration =
+          obs::phase_seconds("energy.time_integration");
+      const double amr = rhea::amr_seconds();
+      const double denom = integration + amr;
       std::printf("time split: integration %.2fs, AMR total %.2fs (%.1f%%)\n",
-                  t.time_integration, t.amr_total(),
-                  denom > 0 ? 100.0 * t.amr_total() / denom : 0.0);
+                  integration, amr, denom > 0 ? 100.0 * amr / denom : 0.0);
     }
   });
   return 0;

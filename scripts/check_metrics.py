@@ -12,7 +12,9 @@ stepping, asserts:
     cumulative (monotone non-decreasing) bucket counts per series, a
     closing +Inf bucket equal to _count, and _sum / _count present —
     including series for the explicitly instrumented "fem.apply" and
-    "amg.vcycle" phases,
+    "amg.vcycle" phases (the series start at the end of setup, and the
+    driver's first step solves no Stokes system, so "amg.vcycle" is
+    required once the step counter has moved past the first scrape),
   * alps_step increases monotonically across two scrapes,
   * /status is valid JSON whose eta_s and step_rate_per_s are finite
     (and positive) once the rate window has filled,
@@ -172,7 +174,7 @@ def run_healthy(binary: str, ranks: int, steps: int) -> None:
         port = wait_for_port(proc)
         deadline = time.time() + 120
         first = scrape_until_step(port, deadline)
-        check_histograms(first, ["fem.apply", "amg.vcycle"])
+        check_histograms(first, ["fem.apply"])
         step0 = first["alps_step"]
         if first.get("alps_up") != 1:
             fail(f"alps_up != 1: {first.get('alps_up')}")

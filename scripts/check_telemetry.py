@@ -17,7 +17,10 @@ JSONL mode (default):
     from the same double),
   * optional "latency" blocks (per-phase histogram quantiles) carry,
     per phase, a positive sample count and quantiles ordered
-    p50 <= p95 <= p99 <= max with max <= sum <= count * max,
+    p50 <= p95 <= p99 <= max with max <= sum <= count * max; for every
+    phase listed in both the record's "critical_path" and its "latency",
+    sum_s == mean_s * ranks (relative 1e-8): both read the phase
+    histograms over the same step window,
   * optional "memory" blocks obey the accounting invariants: imbalance
     >= 1, min <= mean <= max <= hwm, the accounted and RSS high-water
     marks never decrease across records, accounted total <= global RSS
@@ -193,6 +196,24 @@ def check_timings_vs_critical_path(t, cp, where) -> None:
                  f"{phase} cp_s = {cp_s[phase]}")
 
 
+def check_latency_vs_critical_path(lat, cp, ranks, where) -> None:
+    """A phase's latency sum is its critical-path mean times the ranks.
+    Runs after check_latency_block, which validated the latency entries."""
+    phases = cp.get("phases") if isinstance(cp, dict) else None
+    if not isinstance(phases, list):
+        fail(f"{where}: critical_path.phases is not a list")
+    sums = {p["phase"]: p["sum_s"] for p in lat["phases"]}
+    for p in phases:
+        name = p.get("phase") if isinstance(p, dict) else None
+        if name not in sums:
+            continue
+        s = sums[name]
+        total = _num(p, "mean_s", where) * ranks
+        if abs(s - total) > 1e-8 * max(abs(s), abs(total)):
+            fail(f"{where}: latency.{name} sum_s = {s} but critical_path "
+                 f"mean_s * ranks = {total}")
+
+
 def check_timings_block(t, where) -> None:
     """Validate one record's "timings" block: the AMR cycle phase seconds
     are non-negative, and phases that only run inside an adaptation
@@ -272,6 +293,10 @@ def check_jsonl(path: str, min_records: int) -> None:
             timing_records += 1
         if "latency" in rec:
             check_latency_block(rec["latency"], f"{path}:{i}")
+            if "critical_path" in rec:
+                check_latency_vs_critical_path(
+                    rec["latency"], rec["critical_path"],
+                    _num(rec, "ranks", f"{path}:{i}"), f"{path}:{i}")
             latency_records += 1
         prev_step, prev_time = rec["step"], rec["time"]
 

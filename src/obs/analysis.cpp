@@ -19,7 +19,7 @@ namespace {
 // ---- per-rank baselines ------------------------------------------------
 //
 // analyze_step reports *deltas* since the previous call, so each rank
-// keeps the cumulative phase seconds and wait buckets it last reported.
+// keeps the cumulative histograms and wait buckets it last reported.
 // Baselines are invalidated when obs::world_generation() changes (a new
 // par::run world reset all the underlying accumulators).
 
@@ -46,7 +46,6 @@ WaitBuckets combine(const WaitBuckets& a, const WaitBuckets& b, Op op) {
 }
 
 struct RankBaseline {
-  std::map<std::string, double> phases;
   std::map<std::string, WaitCum> waits;
   std::map<std::string, Histogram> hists;  // cumulative as of last report
 };
@@ -90,18 +89,18 @@ RankBaseline& baseline_for(int rank, int nranks) {
 //   u64 blob_bytes (this prefix included)   u32 flags (kTimed | kMemory)
 //   u32 n_sum { f64 } ...   u32 n_max { f64 } ...            (driver slots)
 // kTimed:
-//   u32 n_phases   { str, f64 seconds } ...
 //   u32 n_waits    { str, WaitBuckets (raw: f64 x6 buckets, u64 x4
 //                    counts), u32 n_srcs { i32 rank, f64 seconds } ... } ...
 //   u32 n_counters { str, u64 value } ...                    (cumulative)
-//   u32 n_hists    { str, f64 sum, f64 min, f64 max,
+//   u32 n_hists    { str, u8 is_phase, f64 sum, f64 min, f64 max,
 //                    u32 n_nonzero { u32 bucket, u64 count } ... } ...
 // kMemory:
 //   u64 accounted, u64 acc_hwm, str acc_hwm_phase, u32 rss_available,
 //   u64 rss, u64 rss_hwm, str rss_peak_phase, u32 n_scopes { str, u64 } ...
 // with str = u32 length + chars. Histograms ship as sparse step deltas
-// (bucket counts difference exactly); counters ship cumulative values
-// (monotone, so rank sums are directly Prometheus-exposable).
+// (bucket counts difference exactly); a phase histogram's window sum is
+// the rank's seconds in that phase this step. Counters ship cumulative
+// values (monotone, so rank sums are directly Prometheus-exposable).
 
 constexpr std::uint32_t kTimed = 1, kMemory = 2;
 
@@ -174,7 +173,6 @@ struct MemDelta {
 struct RankDelta {
   std::uint32_t flags = 0;
   std::vector<double> sum, max;
-  std::map<std::string, double> phases;
   std::map<std::string, WaitCum> waits;
   std::vector<std::pair<std::string, std::uint64_t>> counters;  // cumulative
   std::map<std::string, Histogram> hists;  // step-window deltas
@@ -188,11 +186,6 @@ std::vector<std::byte> encode(const RankDelta& d) {
   put_slots(b, d.sum);
   put_slots(b, d.max);
   if (d.flags & kTimed) {
-    put(b, static_cast<std::uint32_t>(d.phases.size()));
-    for (const auto& [name, sec] : d.phases) {
-      put_str(b, name);
-      put(b, sec);
-    }
     put(b, static_cast<std::uint32_t>(d.waits.size()));
     for (const auto& [name, c] : d.waits) {
       put_str(b, name);
@@ -211,6 +204,7 @@ std::vector<std::byte> encode(const RankDelta& d) {
     put(b, static_cast<std::uint32_t>(d.hists.size()));
     for (const auto& [name, h] : d.hists) {
       put_str(b, name);
+      put(b, static_cast<std::uint8_t>(h.is_phase()));
       put(b, h.sum());
       put(b, h.min());
       put(b, h.max());
@@ -251,11 +245,6 @@ RankDelta decode(Reader& r) {
   d.sum = r.slots();
   d.max = r.slots();
   if (d.flags & kTimed) {
-    const std::uint32_t np = r.get<std::uint32_t>();
-    for (std::uint32_t i = 0; i < np; ++i) {
-      std::string name = r.str();
-      d.phases[name] = r.get<double>();
-    }
     const std::uint32_t nw = r.get<std::uint32_t>();
     for (std::uint32_t i = 0; i < nw; ++i) {
       WaitCum& c = d.waits[r.str()];
@@ -274,6 +263,7 @@ RankDelta decode(Reader& r) {
     const std::uint32_t nh = r.get<std::uint32_t>();
     for (std::uint32_t i = 0; i < nh; ++i) {
       Histogram& h = d.hists[r.str()];
+      if (r.get<std::uint8_t>() != 0) h.mark_phase();
       const double sum = r.get<double>();
       const double mn = r.get<double>();
       const double mx = r.get<double>();
@@ -334,15 +324,11 @@ std::vector<RankDelta> decode_all(const std::vector<std::byte>& all,
   return deltas;
 }
 
-/// Phase seconds and wait buckets: this rank's cumulative state minus
-/// its baseline; updates the baseline.
-void add_phases_and_waits(RankDelta& d, RankBaseline& base) {
-  for (const auto& [name, sec] : phase_snapshot()) {
-    const double prev = base.phases.count(name) ? base.phases[name] : 0.0;
-    if (sec - prev > 0) d.phases[name] = sec - prev;
-    base.phases[name] = sec;
-  }
-
+/// The timing sections of this rank's blob: wait buckets and histograms
+/// as this rank's cumulative state minus its baseline (which is updated),
+/// counters cumulative.
+void add_timing(RankDelta& d, int rank, int nranks) {
+  RankBaseline& base = baseline_for(rank, nranks);
   // wait_samples() excludes the analyzer's own suppressed waits already;
   // the "(unphased)" bucket (waits outside any OBS_PHASE_SPAN) is kept
   // out of the per-step record because it has no wall time to validate
@@ -367,14 +353,6 @@ void add_phases_and_waits(RankDelta& d, RankBaseline& base) {
       d.waits[s.phase] = delta;
     prev = cur;
   }
-}
-
-/// The timing sections of this rank's blob.
-void add_timing(RankDelta& d, int rank, int nranks) {
-  RankBaseline& base = baseline_for(rank, nranks);
-  add_phases_and_waits(d, base);
-  // Counters ship cumulative (monotone, no baseline needed); histograms
-  // ship the step window against the cumulative baseline.
   d.counters = counter_snapshot();
   for (auto& [name, cur] : hist_samples()) {
     Histogram& prev = base.hists[name];
@@ -404,13 +382,22 @@ MemDelta local_memory(int rank) {
   return m;
 }
 
+/// A histogram window's phase seconds: its sum for a phase histogram, 0
+/// otherwise (OBS_HIST_SPAN durations stay off the critical path). A
+/// phase enters a rank's step only when this is positive.
+double phase_window_s(const Histogram& h) {
+  return h.is_phase() ? h.sum() : 0.0;
+}
+
 void stitch_timing(const std::vector<RankDelta>& deltas, StepRecord& rec) {
   const int nranks = static_cast<int>(deltas.size());
 
   // Critical path: per phase, max and mean over ranks with argmax.
   std::map<std::string, PhaseCritical> crit;
   for (int r = 0; r < nranks; ++r) {
-    for (const auto& [name, sec] : deltas[static_cast<std::size_t>(r)].phases) {
+    for (const auto& [name, h] : deltas[static_cast<std::size_t>(r)].hists) {
+      const double sec = phase_window_s(h);
+      if (sec <= 0) continue;
       PhaseCritical& c = crit[name];
       c.phase = name;
       c.mean_s += sec;
@@ -453,8 +440,9 @@ void stitch_timing(const std::vector<RankDelta>& deltas, StepRecord& rec) {
   // Wall seconds in a second pass: the waits map must already hold every
   // phase any rank waited in, else early ranks' wall time is dropped.
   for (int r = 0; r < nranks; ++r)
-    for (const auto& [name, sec] : deltas[static_cast<std::size_t>(r)].phases)
-      if (waits.count(name)) waits[name].wall_s += sec;
+    for (const auto& [name, h] : deltas[static_cast<std::size_t>(r)].hists)
+      if (phase_window_s(h) > 0 && waits.count(name))
+        waits[name].wall_s += h.sum();
   for (auto& [name, w] : waits) {
     w.max_blocked_s = max_blocked[name];
     const double cov = w.w.overlap_covered_s + w.w.overlap_waited_s;
@@ -685,10 +673,8 @@ StepRecord analyze_step(par::Comm& comm, int step, const StepInput& in) {
 }
 
 void begin_window(par::Comm& comm) {
-  // Histograms keep their window: the run-cumulative latency series count
-  // every recorded duration, setup included.
   RankDelta discarded;
-  add_phases_and_waits(discarded, baseline_for(comm.rank(), comm.size()));
+  add_timing(discarded, comm.rank(), comm.size());
 }
 
 std::vector<std::pair<std::string, Histogram>> merged_histograms() {

@@ -102,7 +102,7 @@ struct MemRecord {
 
 /// What the caller adds to this rank's blob beyond its obs state.
 struct StepInput {
-  /// Encode the phase, wait, counter and histogram sections (only while
+  /// Encode the wait, counter and histogram sections (only while
   /// analysis_enabled() too). The memory section rides whenever
   /// mem_enabled().
   bool timing = true;
@@ -131,18 +131,18 @@ struct StepRecord {
   std::vector<double> sum, max;  // folded driver slots (StepInput)
 };
 
-/// Collective: exchange this rank's blob — per-phase time and wait deltas
-/// since the previous timed analyze_step (or world start), the memory
-/// snapshot, and `in`'s driver slots — in one allgatherv, and return the
-/// stitched step record. Every rank of `comm` must call it together with
+/// Collective: exchange this rank's blob — histogram windows (phase time
+/// included) and wait deltas since the previous timed analyze_step (or
+/// begin_window, or world start), the memory snapshot, and `in`'s driver
+/// slots — in one allgatherv, and return the stitched step record. Every rank of `comm` must call it together with
 /// the same `in.timing` and slot counts; a blob whose sections do not
 /// consume exactly its declared length throws, naming the rank. Rank 0
 /// appends timed records to step_records().
 StepRecord analyze_step(par::Comm& comm, int step, const StepInput& in = {});
 
-/// Rank-local: start the next analyze_step's phase and wait window here,
-/// so work done before this call (a driver's setup) stays out of the next
-/// record's critical path and wait states.
+/// Rank-local: start the next analyze_step's histogram and wait window
+/// here, so work done before this call (a driver's setup) stays out of
+/// the next record's critical path, wait states and latency.
 void begin_window(par::Comm& comm);
 
 /// Records stored by rank 0's analyze_step calls in the current world,

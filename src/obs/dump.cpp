@@ -46,30 +46,6 @@ std::string counters_json() {
   return out;
 }
 
-std::string phases_json() {
-  std::string out = "[";
-  bool first = true;
-  for (const auto& p : aggregate_phases()) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n  {\"name\": \"" + p.name + "\", \"min_s\": ";
-    append_double(out, p.min_s);
-    out += ", \"median_s\": ";
-    append_double(out, p.median_s);
-    out += ", \"max_s\": ";
-    append_double(out, p.max_s);
-    out += ", \"mean_s\": ";
-    append_double(out, p.mean_s);
-    out += ", \"total_s\": ";
-    append_double(out, p.total_s);
-    out += ", \"imbalance\": ";
-    append_double(out, p.imbalance);
-    out += ", \"ranks\": " + std::to_string(p.ranks) + "}";
-  }
-  out += "\n]";
-  return out;
-}
-
 std::string residuals_json() {
   std::string out = "{";
   bool first = true;
@@ -139,6 +115,30 @@ std::string memory_json() {
 
 }  // namespace
 
+std::string phases_json(const std::vector<PhaseBreakdown>& phases) {
+  std::string out = "[";
+  bool first = true;
+  for (const PhaseBreakdown& p : phases) {
+    if (!first) out += ",";
+    first = false;
+    out += "\n  {\"name\": \"" + p.name + "\", \"min_s\": ";
+    append_double(out, p.min_s);
+    out += ", \"median_s\": ";
+    append_double(out, p.median_s);
+    out += ", \"max_s\": ";
+    append_double(out, p.max_s);
+    out += ", \"mean_s\": ";
+    append_double(out, p.mean_s);
+    out += ", \"total_s\": ";
+    append_double(out, p.total_s);
+    out += ", \"imbalance\": ";
+    append_double(out, p.imbalance);
+    out += ", \"ranks\": " + std::to_string(p.ranks) + "}";
+  }
+  out += "\n]";
+  return out;
+}
+
 std::string dump_dir() {
   if (const char* env = std::getenv("ALPS_DUMP_DIR"))
     if (*env != '\0') return env;
@@ -158,7 +158,7 @@ std::string panic_dump(const std::string& reason) noexcept {
     write_file(dir / "reason.txt", reason);
     write_file(dir / "trace.json", chrome_trace_json());
     write_file(dir / "counters.json", counters_json());
-    write_file(dir / "phases.json", phases_json());
+    write_file(dir / "phases.json", phases_json(aggregate_phases()));
     write_file(dir / "residuals.json", residuals_json());
     write_file(dir / "memory.json", memory_json());
     std::string tail;

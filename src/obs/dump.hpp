@@ -21,8 +21,16 @@
 // explicitly.
 
 #include <string>
+#include <vector>
+
+#include "obs/obs.hpp"
 
 namespace alps::obs {
+
+/// A phase breakdown table as a JSON array of {name, min_s, median_s,
+/// max_s, mean_s, total_s, imbalance, ranks} objects, non-finite values
+/// as null: the bundle's phases.json and every BENCH_*.json's "phases".
+std::string phases_json(const std::vector<PhaseBreakdown>& phases);
 
 /// Directory the next dump will be written to: ALPS_DUMP_DIR or
 /// "alps_dump". Created on demand by panic_dump.

@@ -76,6 +76,7 @@ void Histogram::record(double seconds) {
 }
 
 void Histogram::merge(const Histogram& o) {
+  phase_ = phase_ || o.phase_;
   if (o.count_ == 0) return;
   if (buckets_.empty()) buckets_.assign(kBucketCount, 0);
   for (int i = 0; i < kBucketCount; ++i)
@@ -87,6 +88,7 @@ void Histogram::merge(const Histogram& o) {
 
 Histogram Histogram::delta_since(const Histogram& base) const {
   Histogram d;
+  d.phase_ = phase_;
   int lo = -1, hi = -1;
   for (int i = 0; i < kBucketCount; ++i) {
     const std::uint64_t cur = bucket(i);

@@ -15,10 +15,12 @@
 // them in rank order, and the result is identical everywhere regardless
 // of how the reduction is grouped.
 //
-// Recording sites: every OBS_PHASE_SPAN close (hooked in Span::~Span),
-// plus explicit OBS_HIST_SPAN scopes per Krylov solve ("la.cg",
-// "la.minres"), AMG V-cycle ("amg.vcycle") and operator application
-// ("fem.apply"). Like counters and phase accumulators, recording is a
+// Recording sites: every OBS_PHASE_SPAN close (hooked in Span::~Span)
+// and phase_add, plus explicit OBS_HIST_SPAN scopes per Krylov solve
+// ("la.cg", "la.minres"), AMG V-cycle ("amg.vcycle") and operator
+// application ("fem.apply"). The phase sites mark their histogram as a
+// phase: its sum is the phase's seconds (obs::phase_seconds, the critical
+// path), so phase time has this one store. Like counters, recording is a
 // per-rank single-writer operation: no locks, no atomics.
 
 #include <cstdint>
@@ -50,12 +52,19 @@ class Histogram {
   /// Record one duration. Non-finite or negative samples are dropped
   /// (they would poison sum/min/max; the sentinel layer reports them).
   void record(double seconds);
-  /// Elementwise-add `o` into this histogram (exact, associative).
+  /// Elementwise-add `o` into this histogram (exact, associative); the
+  /// phase bit is or-ed in.
   void merge(const Histogram& o);
   /// This histogram minus a prefix `base` of itself (bucket counts, count
-  /// and sum subtract). Exact min/max do not difference, so the window's
-  /// range is re-estimated from its lowest/highest non-empty buckets.
+  /// and sum subtract; the phase bit is kept). Exact min/max do not
+  /// difference, so the window's range is re-estimated from its
+  /// lowest/highest non-empty buckets.
   Histogram delta_since(const Histogram& base) const;
+
+  /// True for phase-time histograms (OBS_PHASE_SPAN, phase_add): only
+  /// these count as phase seconds and enter the critical path.
+  bool is_phase() const { return phase_; }
+  void mark_phase() { phase_ = true; }
 
   std::uint64_t count() const { return count_; }
   double sum() const { return sum_; }
@@ -83,12 +92,14 @@ class Histogram {
   double sum_ = 0;
   double min_ = 0;  // valid only when count_ > 0
   double max_ = 0;
+  bool phase_ = false;
 };
 
 // ---- recording (per-rank slots live in obs.cpp) ------------------------
 
 /// Record `seconds` into this rank's histogram named `name` (no-op on
-/// unbound threads). `name` must be a string literal.
+/// unbound threads) without marking it a phase. `name` must be a string
+/// literal.
 void hist_record(const char* name, double seconds);
 /// Histograms of `rank`, merged by name content, sorted by name. Safe
 /// from the owning rank thread or after par::run has joined.

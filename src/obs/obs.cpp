@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -68,9 +69,8 @@ struct RankSlot {
   std::size_t count = 0;  // events stored (<= ring.size())
   std::uint64_t dropped = 0;
   std::vector<std::uint64_t> counters;
-  std::unordered_map<std::string, double> phases;
-  // Duration histograms (keyed like `waits` by the name literal's
-  // address; hist_samples re-merges by content).
+  // Duration histograms, phase time included (keyed like `waits` by the
+  // name literal's address; readers re-merge by content).
   std::unordered_map<const char*, Histogram> hists;
   // Wait-state accounting (keyed by the phase-name literal's address —
   // phase names are string literals, so the pointer is a stable key; the
@@ -151,6 +151,12 @@ RankSlot& checked_slot(int rank) {
   return *s.slots[static_cast<std::size_t>(rank)];
 }
 
+void record_phase(RankSlot& slot, const char* name, double seconds) {
+  Histogram& h = slot.hists[name];
+  h.record(seconds);
+  h.mark_phase();
+}
+
 }  // namespace
 
 void world_begin(int nranks) {
@@ -217,11 +223,8 @@ Span::~Span() {
   // points for the memory peak tracker.
   if (phase_) memdetail::phase_close_tick(name_);
   const std::uint64_t t1 = now_ns();
-  if (phase_) {
-    const double secs = static_cast<double>(t1 - t0_) * 1e-9;
-    slot->phases[name_] += secs;
-    slot->hists[name_].record(secs);
-  }
+  if (phase_)
+    record_phase(*slot, name_, static_cast<double>(t1 - t0_) * 1e-9);
   if (record_) {
     if (slot->count < slot->ring.size())
       slot->ring[slot->count++] = SpanEvent{name_, t0_, t1 - t0_, cat_};
@@ -355,6 +358,15 @@ std::map<std::string, Histogram> merged_hists(const RankSlot& slot) {
   return merged;
 }
 
+// One slot's seconds in `name`: the sums of its phase histograms of that
+// content, merged like merged_hists.
+double phase_sum(const RankSlot& slot, const char* name) {
+  double secs = 0.0;
+  for (const auto& [key, h] : slot.hists)
+    if (h.is_phase() && std::strcmp(key, name) == 0) secs += h.sum();
+  return secs;
+}
+
 }  // namespace
 
 std::vector<std::pair<std::string, Histogram>> hist_samples(int rank) {
@@ -381,47 +393,36 @@ std::vector<std::pair<std::string, Histogram>> aggregate_hists() {
 
 void phase_add(const char* name, double seconds) {
   RankSlot* slot = tl_slot;
-  if (slot == nullptr) return;
-  slot->phases[name] += seconds;
+  if (slot != nullptr) record_phase(*slot, name, seconds);
 }
 
 double phase_seconds(const char* name) {
   const RankSlot* slot = tl_slot;
-  if (slot == nullptr) return 0.0;
-  const auto it = slot->phases.find(name);
-  return it == slot->phases.end() ? 0.0 : it->second;
+  return slot != nullptr ? phase_sum(*slot, name) : 0.0;
 }
 
 double phase_seconds(int rank, const char* name) {
-  const RankSlot& slot = checked_slot(rank);
-  const auto it = slot.phases.find(name);
-  return it == slot.phases.end() ? 0.0 : it->second;
+  return phase_sum(checked_slot(rank), name);
 }
 
 std::vector<PhaseBreakdown> aggregate_phases() {
   State& s = state();
-  const int p = static_cast<int>(s.slots.size());
-  // Union of phase names, each reduced over every rank (absent = 0).
+  const std::size_t p = s.slots.size();
+  // Every phase name, reduced over every rank (absent = 0).
   std::map<std::string, std::vector<double>> by_name;
-  for (const auto& slot : s.slots)
-    for (const auto& [name, secs] : slot->phases) {
-      auto& v = by_name[name];
-      v.resize(static_cast<std::size_t>(p), 0.0);
-    }
-  int r = 0;
-  for (const auto& slot : s.slots) {
-    for (auto& [name, v] : by_name) {
-      const auto it = slot->phases.find(name);
-      if (it != slot->phases.end()) v[static_cast<std::size_t>(r)] = it->second;
-    }
-    ++r;
-  }
+  for (std::size_t r = 0; r < p; ++r)
+    for (const auto& [name, h] : merged_hists(*s.slots[r]))
+      if (h.is_phase()) {
+        auto& v = by_name[name];
+        v.resize(p, 0.0);
+        v[r] = h.sum();
+      }
   std::vector<PhaseBreakdown> out;
   out.reserve(by_name.size());
   for (auto& [name, v] : by_name) {
     PhaseBreakdown b;
     b.name = name;
-    b.ranks = p;
+    b.ranks = static_cast<int>(p);
     std::sort(v.begin(), v.end());
     b.min_s = v.front();
     b.max_s = v.back();
@@ -446,8 +447,6 @@ std::uint64_t self_memory_bytes() {
   b += slot->flows.capacity() * sizeof(FlowEvent);
   b += slot->counters.capacity() * sizeof(std::uint64_t);
   // Hash-map footprints are estimates: bucket array + one node per entry.
-  b += slot->phases.size() *
-       (sizeof(std::string) + sizeof(double) + 2 * sizeof(void*));
   b += slot->waits.size() * (sizeof(PhaseWaitSlot) + 2 * sizeof(void*));
   b += slot->hists.size() *
        (sizeof(Histogram) + Histogram::kBucketCount * sizeof(std::uint64_t) +
@@ -455,28 +454,6 @@ std::uint64_t self_memory_bytes() {
   b += slot->flow_seq.size() *
        (sizeof(std::uint64_t) + sizeof(std::uint32_t) + 2 * sizeof(void*));
   return b;
-}
-
-std::vector<std::pair<std::string, std::vector<double>>> phase_table() {
-  State& s = state();
-  const std::size_t p = s.slots.size();
-  std::map<std::string, std::vector<double>> by_name;
-  for (std::size_t r = 0; r < p; ++r)
-    for (const auto& [name, secs] : s.slots[r]->phases) {
-      auto& v = by_name[name];
-      v.resize(p, 0.0);
-      v[r] = secs;
-    }
-  return {by_name.begin(), by_name.end()};
-}
-
-std::vector<std::pair<std::string, double>> phase_snapshot() {
-  const RankSlot* slot = tl_slot;
-  if (slot == nullptr) return {};
-  std::vector<std::pair<std::string, double>> out(slot->phases.begin(),
-                                                  slot->phases.end());
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 // ---- wait-state accounting --------------------------------------------

@@ -12,18 +12,19 @@
 //  2. A counter registry (interned name -> small integer id, per-rank
 //     value slots) absorbing solver metrics: MINRES/CG iterations, AMG
 //     V-cycles, per-level hierarchy nnz, ghost-exchange payload bytes.
-//  3. Per-rank phase accumulators (name -> cumulative seconds) feeding a
-//     cross-rank aggregator that reduces each phase to min / median /
-//     max / mean / imbalance — the single source for the paper's
-//     Fig. 7/8/10 breakdown tables and for perf::MachineModel inputs.
+//  3. Per-rank phase time: every phase close records its seconds into a
+//     duration histogram marked as a phase (obs/histogram.hpp), whose sum
+//     is the phase's cumulative seconds. A cross-rank aggregator reduces
+//     each phase to min / median / max / mean / imbalance — the single
+//     source for the paper's Fig. 7/8/10 breakdown tables and for
+//     perf::MachineModel inputs.
 //
 // Kill switches: tracing is off unless ALPS_TRACE is set (=1 enables
 // phase + solver spans; =comm/all additionally records per-collective
 // spans) or set_enabled() is called; a disabled span is one relaxed
 // atomic load. Compiling with -DALPS_OBS_DISABLE removes the span macros
-// entirely. Phase accumulation and counters stay on regardless — they
-// replace the old hand-threaded rhea::PhaseTimers bookkeeping and cost
-// one thread-local add on paths that are never per-element hot.
+// entirely. Phase time and counters stay on regardless; they cost one
+// thread-local histogram record on paths that are never per-element hot.
 
 #include <atomic>
 #include <cstddef>
@@ -86,9 +87,9 @@ struct SpanEvent {
   Cat cat = Cat::kSolver;
 };
 
-/// RAII scoped span. `accumulate_phase` additionally adds the elapsed
-/// seconds to this rank's phase accumulator under `name` (always, even
-/// with tracing disabled — this is what powers rhea::PhaseTimers).
+/// RAII scoped span. `accumulate_phase` additionally records the elapsed
+/// seconds into this rank's phase histogram `name` (always, even with
+/// tracing disabled — this is what obs::phase_seconds reads).
 /// `name` must outlive the trace session: pass a string literal.
 class Span {
  public:
@@ -103,7 +104,7 @@ class Span {
   std::uint64_t t0_ = 0;
   Cat cat_;
   bool record_ = false;  // emit a trace event on close
-  bool phase_ = false;   // add to the phase accumulator on close
+  bool phase_ = false;   // record into the phase histogram on close
 };
 
 #ifndef ALPS_OBS_DISABLE
@@ -112,7 +113,7 @@ class Span {
 /// Trace-only scoped span (solver category).
 #define OBS_SPAN(name) \
   ::alps::obs::Span ALPS_OBS_CONCAT(obs_span_, __LINE__)(name)
-/// Scoped span that also accumulates into the named phase.
+/// Scoped span that also records into the named phase.
 #define OBS_PHASE_SPAN(name)                             \
   ::alps::obs::Span ALPS_OBS_CONCAT(obs_span_, __LINE__)( \
       name, ::alps::obs::Cat::kPhase, true)
@@ -137,8 +138,8 @@ std::uint64_t dropped(int rank);
 const char* current_phase();
 
 /// Approximate bytes held by the calling rank's own obs state (span ring,
-/// flow buffer, counter/phase tables) — what the "obs.self" memory scope
-/// reports, so the observer shows up in its own accounting.
+/// flow buffer, counter table, histograms) — what the "obs.self" memory
+/// scope reports, so the observer shows up in its own accounting.
 std::uint64_t self_memory_bytes();
 
 // ---- wait-state instrumentation (consumed by obs::analysis) -----------
@@ -200,11 +201,6 @@ struct PhaseWaitSample {
 std::vector<PhaseWaitSample> wait_samples(int rank);
 /// Same, for the calling thread's bound rank (empty when unbound).
 std::vector<PhaseWaitSample> wait_samples();
-/// Per-phase cumulative seconds of every rank: {name, seconds[rank]}.
-/// Call after par::run has joined (main thread).
-std::vector<std::pair<std::string, std::vector<double>>> phase_table();
-/// All phase accumulators of the calling thread's rank.
-std::vector<std::pair<std::string, double>> phase_snapshot();
 
 // ---- cross-rank flow events -------------------------------------------
 //
@@ -281,9 +277,11 @@ std::vector<std::pair<std::string, std::uint64_t>> counter_snapshot();
 
 // ---- phases -----------------------------------------------------------
 
-/// Add `seconds` to this rank's accumulator for `name` (no-op unbound).
+/// Record one `seconds` sample into this rank's phase histogram `name`
+/// (no-op unbound). `name` must be a string literal.
 void phase_add(const char* name, double seconds);
-/// Cumulative seconds of `name` on the calling thread's rank (0 unbound).
+/// Cumulative seconds of `name` on the calling thread's rank (0 unbound):
+/// the sum of its phase histogram.
 double phase_seconds(const char* name);
 double phase_seconds(int rank, const char* name);
 
@@ -296,8 +294,8 @@ struct PhaseBreakdown {
   int ranks = 0;
 };
 
-/// Reduce every recorded phase across ranks (call after par::run; ranks
-/// that never entered a phase contribute 0). Sorted by name.
+/// Reduce every phase histogram's sum across ranks (call after par::run;
+/// ranks that never entered a phase contribute 0). Sorted by name.
 std::vector<PhaseBreakdown> aggregate_phases();
 
 // ---- trace export -----------------------------------------------------

@@ -22,9 +22,9 @@ struct LeafPayload {
 /// leaves. `weights`, if nonempty (one per local leaf), switches to
 /// equal-weight partitioning (e.g. element work estimates). The octant
 /// movement (PARTITIONTREE) and payload movement (TRANSFERFIELDS) stages
-/// accumulate into the "amr.partition" / "amr.transfer_fields" obs phases,
-/// matching the paper's Fig. 7/10 breakdowns — read them back with
-/// obs::phase_seconds.
+/// record into the "amr.partition" / "amr.transfer_fields" obs phase
+/// histograms, matching the paper's Fig. 7/10 breakdowns — read their
+/// seconds back with obs::phase_seconds.
 void partition(par::Comm& comm, LinearOctree& tree,
                std::span<LeafPayload*> payloads = {},
                std::span<const double> weights = {});

@@ -162,7 +162,8 @@ class Comm {
     if (raw.size() % sizeof(T) != 0)
       throw std::runtime_error("par::Comm::recv: size mismatch");
     std::vector<T> out(raw.size() / sizeof(T));
-    std::memcpy(out.data(), raw.data(), raw.size());
+    // An empty message may carry null data pointers, which memcpy forbids.
+    if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
     return out;
   }
 

@@ -7,9 +7,10 @@ namespace alps::par {
 
 CommStats run(int nranks, const std::function<void(Comm&)>& body) {
   World world(nranks);
-  // Fresh per-rank observability slots for this world: spans, counters,
-  // and phase accumulators recorded by the rank threads stay readable
-  // (obs::events, obs::aggregate_phases, ...) until the next run.
+  // Fresh per-rank observability slots for this world: spans, counters
+  // and histograms (phase time included) recorded by the rank threads
+  // stay readable (obs::events, obs::aggregate_phases, ...) until the
+  // next run.
   obs::world_begin(nranks);
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks));
   std::vector<std::thread> threads;

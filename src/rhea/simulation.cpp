@@ -21,29 +21,17 @@
 
 namespace alps::rhea {
 
-namespace {
-
-/// The calling rank's obs phase accumulators under the paper's names.
-/// minres excludes the preconditioner applications nested inside it,
-/// matching the historical PhaseTimers convention.
-PhaseTimers read_phases() {
-  PhaseTimers t;
-  t.new_tree = obs::phase_seconds("amr.new_tree");
-  t.coarsen_refine = obs::phase_seconds("amr.coarsen_refine");
-  t.balance = obs::phase_seconds("amr.balance");
-  t.partition = obs::phase_seconds("amr.partition");
-  t.extract_mesh = obs::phase_seconds("amr.extract_mesh");
-  t.interpolate_fields = obs::phase_seconds("amr.interpolate_fields");
-  t.transfer_fields = obs::phase_seconds("amr.transfer_fields");
-  t.mark_elements = obs::phase_seconds("amr.mark_elements");
-  t.time_integration = obs::phase_seconds("energy.time_integration");
-  t.stokes_assemble = obs::phase_seconds("stokes.assemble");
-  t.amg_setup = obs::phase_seconds("amg.setup");
-  t.amg_apply = obs::phase_seconds("amg.apply");
-  t.minres =
-      obs::phase_seconds("stokes.minres") - obs::phase_seconds("amg.apply");
-  return t;
+double amr_seconds() {
+  double secs = 0.0;
+  for (const char* phase :
+       {"amr.coarsen_refine", "amr.balance", "amr.partition",
+        "amr.extract_mesh", "amr.interpolate_fields", "amr.transfer_fields",
+        "amr.mark_elements"})
+    secs += obs::phase_seconds(phase);
+  return secs;
 }
+
+namespace {
 
 /// Element-wise sum over all ranks of a fixed-size counter array, in one
 /// allreduce.
@@ -88,27 +76,8 @@ constexpr std::size_t kMaxElements = 0, kDiagMax = 1, kNonFinite = 3,
 Simulation::Simulation(par::Comm& comm, SimConfig cfg)
     : comm_(&comm), cfg_(std::move(cfg)),
       forest_(Forest::new_uniform(comm, cfg_.conn, 0)) {
-  base_ = read_phases();
   OBS_PHASE_SPAN("amr.new_tree");
   forest_ = Forest::new_uniform(comm, cfg_.conn, cfg_.init_level);
-}
-
-PhaseTimers Simulation::timers() const {
-  PhaseTimers t = read_phases();
-  t.new_tree -= base_.new_tree;
-  t.coarsen_refine -= base_.coarsen_refine;
-  t.balance -= base_.balance;
-  t.partition -= base_.partition;
-  t.extract_mesh -= base_.extract_mesh;
-  t.interpolate_fields -= base_.interpolate_fields;
-  t.transfer_fields -= base_.transfer_fields;
-  t.mark_elements -= base_.mark_elements;
-  t.time_integration -= base_.time_integration;
-  t.stokes_assemble -= base_.stokes_assemble;
-  t.amg_setup -= base_.amg_setup;
-  t.amg_apply -= base_.amg_apply;
-  t.minres -= base_.minres;
-  return t;
 }
 
 std::int64_t Simulation::global_elements() const {

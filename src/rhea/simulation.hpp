@@ -21,26 +21,10 @@ using forest::Connectivity;
 using forest::Forest;
 using mesh::Mesh;
 
-/// Cumulative wall-clock seconds per phase (paper terminology). Since the
-/// obs migration this is a *view*: Simulation::timers() materializes it
-/// from the per-rank obs phase accumulators (obs::phase_seconds), minus a
-/// snapshot taken at construction so several Simulations per rank body
-/// don't bleed into each other.
-struct PhaseTimers {
-  double new_tree = 0, coarsen_refine = 0, balance = 0, partition = 0,
-         extract_mesh = 0, interpolate_fields = 0, transfer_fields = 0,
-         mark_elements = 0, time_integration = 0, minres = 0, amg_setup = 0,
-         amg_apply = 0, stokes_assemble = 0;
-
-  double amr_total() const {
-    return coarsen_refine + balance + partition + extract_mesh +
-           interpolate_fields + transfer_fields + mark_elements;
-  }
-  double total() const {
-    return new_tree + amr_total() + time_integration + minres + amg_setup +
-           amg_apply + stokes_assemble;
-  }
-};
+/// Seconds the calling rank has spent in the adaptation cycle of Fig. 4
+/// (mark through extract; the initial amr.new_tree excluded): the sum of
+/// those phases' obs::phase_seconds. Call inside the par::run rank body.
+double amr_seconds();
 
 /// Per-adaptation-step statistics (Fig. 5).
 struct AdaptationStats {
@@ -152,9 +136,6 @@ class Simulation {
   const std::vector<double>& solution() const { return solution_; }
   double time() const { return time_; }
   int steps_taken() const { return steps_; }
-  /// This simulation's per-phase seconds on the calling rank, read from
-  /// the obs phase accumulators. Call from inside the par::run rank body.
-  PhaseTimers timers() const;
   const std::vector<AdaptationStats>& adapt_history() const {
     return adapt_history_;
   }
@@ -210,7 +191,6 @@ class Simulation {
   std::vector<double> solution_;     // 4-comp velocity+pressure
   double time_ = 0.0;
   int steps_ = 0;
-  PhaseTimers base_;  // obs phase accumulators at construction time
   stokes::PicardResult last_stokes_;  // convection mode only
   std::vector<AdaptationStats> adapt_history_;
   // Cached SUPG operator and per-element quadrature weights (read by the

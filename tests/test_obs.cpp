@@ -1,14 +1,17 @@
 // alps::obs: per-rank span recording, rank attribution, counter merge,
-// cross-rank phase aggregation, Chrome-trace export, and the guarantee
-// that disabled tracing records no events while phase accumulation keeps
-// working (it powers rhea::PhaseTimers).
+// cross-rank phase aggregation, Chrome-trace export, the guarantee that
+// disabled tracing records no events while phase time keeps accumulating,
+// and phase time's single store (the phase histograms).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/analysis.hpp"
+#include "obs/histogram.hpp"
 #include "obs/obs.hpp"
 #include "par/runtime.hpp"
 
@@ -78,6 +81,45 @@ TEST_F(ObsTest, DisabledTracingRecordsNoEventsButPhasesAccumulate) {
   for (int r = 0; r < 2; ++r) EXPECT_TRUE(obs::events(r).empty());
   EXPECT_GT(phase_rank0, 0.0);
   EXPECT_GT(obs::phase_seconds(0, "test.phase"), 0.0);
+}
+
+TEST_F(ObsTest, PhaseSecondsAreThePhaseHistogramSums) {
+#ifdef ALPS_OBS_DISABLE
+  GTEST_SKIP() << "span macros are compiled out";
+#endif
+  obs::analysis::StepRecord rec;
+  par::run(2, [&](par::Comm& c) {
+    for (int i = 0; i < 3; ++i) {
+      OBS_PHASE_SPAN("test.store");
+      OBS_HIST_SPAN("test.hist_only");
+      volatile int sink = 0;
+      for (int k = 0; k < 1000; ++k) sink = sink + k;
+    }
+    obs::phase_add("test.store", 0.25);
+    obs::analysis::StepRecord mine = obs::analysis::analyze_step(c, 1);
+    if (c.rank() == 0) rec = std::move(mine);
+  });
+  for (int r = 0; r < 2; ++r) {
+    const auto samples = obs::hist_samples(r);
+    const obs::Histogram* h = nullptr;
+    for (const auto& [name, hist] : samples)
+      if (name == "test.store") h = &hist;
+    ASSERT_NE(h, nullptr);
+    EXPECT_TRUE(h->is_phase());
+    EXPECT_EQ(h->count(), 4u);
+    EXPECT_EQ(obs::phase_seconds(r, "test.store"), h->sum());
+  }
+  // OBS_HIST_SPAN durations are latency samples, not phase time.
+  bool in_latency = false;
+  for (const auto& l : rec.latency) in_latency |= l.phase == "test.hist_only";
+  EXPECT_TRUE(in_latency);
+  EXPECT_EQ(obs::phase_seconds(0, "test.hist_only"), 0.0);
+  for (const auto& p : obs::aggregate_phases())
+    EXPECT_NE(p.name, "test.hist_only");
+  for (const auto& p : rec.critical) EXPECT_NE(p.phase, "test.hist_only");
+  bool in_critical = false;
+  for (const auto& p : rec.critical) in_critical |= p.phase == "test.store";
+  EXPECT_TRUE(in_critical);
 }
 
 TEST_F(ObsTest, CommSpansOnlyRecordedWithCommTracing) {

@@ -72,6 +72,16 @@ TEST_P(ParRanks, PointToPointRing) {
   });
 }
 
+TEST(ParP2p, EmptyMessageRoundTrips) {
+  alps::par::run(2, [](Comm& c) {
+    const int peer = 1 - c.rank();
+    if (c.rank() == 0) c.send(peer, 9, std::vector<double>{});
+    const std::vector<double> got = c.recv<double>(peer, 9);
+    EXPECT_TRUE(got.empty());
+    if (c.rank() == 1) c.send(peer, 9, got);
+  });
+}
+
 TEST_P(ParRanks, TagMatchingReordersMessages) {
   alps::par::run(GetParam(), [](Comm& c) {
     if (c.size() < 2) return;

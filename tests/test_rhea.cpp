@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <string>
 
 #include "obs/mem.hpp"
 #include "obs/obs.hpp"
@@ -92,7 +93,7 @@ TEST_P(RheaRanks, RefinementFollowsTheMovingFront) {
   });
 }
 
-TEST_P(RheaRanks, TimersArePopulated) {
+TEST_P(RheaRanks, PhaseSecondsArePopulated) {
 #ifdef ALPS_OBS_DISABLE
   GTEST_SKIP() << "phase spans are compiled out";
 #endif
@@ -100,13 +101,36 @@ TEST_P(RheaRanks, TimersArePopulated) {
     Simulation sim(c, advection_config());
     sim.initialize(front_t0);
     sim.run(8);
-    const rhea::PhaseTimers& t = sim.timers();
-    EXPECT_GT(t.time_integration, 0.0);
-    EXPECT_GT(t.mark_elements, 0.0);
-    EXPECT_GT(t.balance, 0.0);
-    EXPECT_GT(t.extract_mesh, 0.0);
-    EXPECT_GE(t.amr_total(), t.balance);
+    EXPECT_GT(obs::phase_seconds("energy.time_integration"), 0.0);
+    EXPECT_GT(obs::phase_seconds("amr.mark_elements"), 0.0);
+    EXPECT_GT(obs::phase_seconds("amr.balance"), 0.0);
+    EXPECT_GT(obs::phase_seconds("amr.extract_mesh"), 0.0);
+    EXPECT_GE(rhea::amr_seconds(), obs::phase_seconds("amr.balance"));
   });
+}
+
+TEST_P(RheaRanks, StepOneRecordLeavesSetupOut) {
+  // The step window starts at the end of initialize(), so the tree built
+  // at construction is in neither step 1's critical path nor its latency.
+  const test::TelemetryOn telemetry("rhea_step_one.jsonl");
+  alps::par::run(GetParam(), [](Comm& c) {
+    Simulation sim(c, advection_config());
+    sim.initialize(front_t0);
+    sim.run(1);
+  });
+  const auto& recs = obs::analysis::step_records();
+  ASSERT_EQ(recs.size(), 1u);
+  const auto has = [](const auto& entries, const std::string& phase) {
+    for (const auto& e : entries)
+      if (e.phase == phase) return true;
+    return false;
+  };
+  EXPECT_FALSE(has(recs[0].critical, "amr.new_tree"));
+  EXPECT_FALSE(has(recs[0].latency, "amr.new_tree"));
+#ifndef ALPS_OBS_DISABLE  // phase spans are compiled out
+  EXPECT_TRUE(has(recs[0].critical, "energy.time_integration"));
+  EXPECT_TRUE(has(recs[0].latency, "energy.time_integration"));
+#endif
 }
 
 TEST_P(RheaRanks, AdaptationStatsAreConsistent) {
@@ -256,7 +280,7 @@ TEST_P(RheaRanks, SmallMantleConvectionRunsStably) {
     for (double v : sim.temperature()) tmax = std::max(tmax, std::abs(v));
     EXPECT_LT(c.allreduce_max(tmax), 2.0);
 #ifndef ALPS_OBS_DISABLE  // phase spans are compiled out
-    EXPECT_GT(sim.timers().minres + sim.timers().amg_apply, 0.0);
+    EXPECT_GT(obs::phase_seconds("stokes.minres"), 0.0);
 #endif
   });
 }
