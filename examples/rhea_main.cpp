@@ -20,7 +20,7 @@
 //   strain_weight (0.5)     yielding-zone term in the indicator
 //   picard_iterations (2)
 //   minres_rtol (1e-5)
-//   minres_maxit (150)
+//   minres_maxit (1000)
 //   vtk_prefix ()           when set, write <prefix>_<n>.vtk per adaptation
 //   sentinels (1)           NaN/Inf field checks after every step
 //   nan_inject_step (-1)    test hook: poison the temperature at this step
@@ -144,7 +144,7 @@ sigma_y = 1.0
 strain_weight = 0.5
 picard_iterations = 2
 minres_rtol = 1e-5
-minres_maxit = 150
+minres_maxit = 1000
 sentinels = 1
 # nan_inject_step = -1
 # vtk_prefix = rhea_out
@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
     sim_cfg.picard.max_iterations = cfg.integer("picard_iterations", 2);
     sim_cfg.picard.stokes.krylov.rtol = cfg.num("minres_rtol", 1e-5);
     sim_cfg.picard.stokes.krylov.max_iterations =
-        cfg.integer("minres_maxit", 150);
+        cfg.integer("minres_maxit", 1000);
     sim_cfg.sentinels = cfg.integer("sentinels", 1) != 0;
     sim_cfg.nan_inject_step = cfg.integer("nan_inject_step", -1);
     sim_cfg.slow_rank = cfg.integer("slow_rank", -1);

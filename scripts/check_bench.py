@@ -10,10 +10,13 @@ problem grows. Fails when the highest-level setup_ns_per_nnz exceeds
 superlinear regression (e.g. reintroducing a scan or a per-entry hash
 map on the setup path).
 
-bench_apply (cases[].speedup + solvers[]): the batched SoA apply must
-beat the scalar reference by --min-speedup on its best case (the
-Stokes-shaped 4-component operator) with no case regressing below 1x
-by more than the noise floor; the reduced-synchronization Krylov loops
+bench_apply (cases[].speedup + stokes[] + solvers[]): the batched SoA
+apply must beat the scalar reference by --min-speedup on its best case
+(the Stokes-shaped 4-component operator) with no case regressing below
+1x by more than the noise floor; the matrix-free Stokes saddle operator
+must beat its assembled element-matrix form by --min-mf-speedup at one
+rank and agree with it to MAX_MF_DIFF; the reduced-synchronization
+Krylov loops
 must issue at most --max-sync reductions per iteration and the fused
 multi-value reductions must not change iteration counts by more than
 --max-iter-delta versus one-reduction-per-dot.
@@ -36,6 +39,9 @@ import argparse
 import json
 import sys
 
+# Relative agreement required of the matrix-free and assembled Stokes
+# saddle applies (the tolerance of the operator parity test).
+MAX_MF_DIFF = 1e-12
 
 def check_amg_setup(data, args) -> int:
     cases = [c for c in data.get("cases", [])
@@ -82,6 +88,24 @@ def check_apply(data, args) -> int:
     print(f"check_bench: best apply speedup = {best:.2f}x "
           f"(min required {args.min_speedup:.2f}): {verdict}")
     ok = ok and best >= args.min_speedup
+
+    stokes = data.get("stokes", [])
+    if not any(c.get("ranks") == 1 for c in stokes):
+        print("check_bench: FAIL no 1-rank matrix-free Stokes case")
+        return 1
+    for c in stokes:
+        gated = c.get("ranks") == 1
+        diff = c.get("max_rel_diff", 1.0)
+        line_ok = diff <= MAX_MF_DIFF and (
+            not gated or c.get("mf_speedup", 0) >= args.min_mf_speedup)
+        print(f"  stokes ranks={c.get('ranks', '?')}: assembled "
+              f"{c.get('assembled_ns_per_element', 0):.1f} ns/el, "
+              f"matrix-free {c.get('mf_ns_per_element', 0):.1f} ns/el, "
+              f"mf_speedup {c.get('mf_speedup', 0):.2f}x"
+              f"{f' (min {args.min_mf_speedup:.2f})' if gated else ''}, "
+              f"max rel diff {diff:.1e} (max {MAX_MF_DIFF:.0e}): "
+              f"{'PASS' if line_ok else 'FAIL'}")
+        ok = ok and line_ok
 
     solvers = data.get("solvers", [])
     if not solvers:
@@ -207,6 +231,9 @@ def main() -> int:
     ap.add_argument("--min-case-speedup", type=float, default=0.9,
                     help="apply: per-case floor (no real regression; 0.9 "
                     "leaves room for timer noise on small operators)")
+    ap.add_argument("--min-mf-speedup", type=float, default=1.2,
+                    help="apply: required 1-rank matrix-free vs assembled "
+                    "Stokes saddle apply speedup")
     ap.add_argument("--max-sync", type=float, default=2.0,
                     help="apply: max Krylov synchronization rounds per "
                     "iteration")

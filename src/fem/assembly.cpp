@@ -77,18 +77,6 @@ void ElementOperator::apply_scalar(par::Comm& comm, std::span<const double> x,
 
 namespace {
 
-// The default build targets baseline x86-64 (16-byte vectors). The batch
-// kernel is the one genuinely compute-bound loop nest in the apply path,
-// so let GCC emit AVX2/AVX-512 clones of it and dispatch by CPU at load
-// time — the portable binary then runs 4- or 8-wide on the machines that
-// have it without a -march=native build.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define ALPS_APPLY_CLONES \
-  __attribute__((target_clones("avx512f", "avx2", "default")))
-#else
-#define ALPS_APPLY_CLONES
-#endif
-
 /// Gather + lane-interleaved matvec + scatter for ONE batch of kLanes
 /// elements. bs = 8*nc, ns = max constraint fan-in of the batch.
 ALPS_APPLY_CLONES
@@ -98,22 +86,7 @@ void batch_kernel(std::size_t bs, std::size_t nc, std::size_t ns,
                   double* __restrict xe, double* __restrict ye,
                   double* __restrict y) {
   constexpr std::size_t L = fem::ElementOperator::kLanes;
-
-  // Gather through the flattened constraint table: replaces the
-  // pointer-chasing Corner walk of the scalar path. Pad slots/lanes have
-  // zero weight and dof base 0, so they add exactly 0.0.
-  for (std::size_t i = 0; i < 8; ++i) {
-    for (std::size_t c = 0; c < nc; ++c) {
-      double acc[L] = {0.0, 0.0, 0.0, 0.0};
-      for (std::size_t k = 0; k < ns; ++k) {
-        const std::size_t s = i * 4 + k;
-        for (std::size_t l = 0; l < L; ++l)
-          acc[l] += w[(s * nc + c) * L + l] *
-                    x[static_cast<std::size_t>(gb[s * L + l]) + c];
-      }
-      for (std::size_t l = 0; l < L; ++l) xe[(i * nc + c) * L + l] = acc[l];
-    }
-  }
+  gather_batch(nc, ns, gb, w, x, xe);
 
   // Lane-interleaved dense matvec: the l-loops are independent element
   // columns, so they vectorize without FP reassociation; four j-chains
@@ -136,16 +109,7 @@ void batch_kernel(std::size_t bs, std::size_t nc, std::size_t ns,
       ye[i * L + l] = (a0[l] + a1[l]) + (a2[l] + a3[l]);
   }
 
-  // Scatter C^T: lanes may share dofs (neighboring elements), so the
-  // l-loop stays sequential; weights already carry the Dirichlet mask.
-  for (std::size_t i = 0; i < 8; ++i)
-    for (std::size_t c = 0; c < nc; ++c)
-      for (std::size_t k = 0; k < ns; ++k) {
-        const std::size_t s = i * 4 + k;
-        for (std::size_t l = 0; l < L; ++l)
-          y[static_cast<std::size_t>(gb[s * L + l]) + c] +=
-              w[(s * nc + c) * L + l] * ye[(i * nc + c) * L + l];
-      }
+  scatter_batch(nc, ns, gb, w, ye, y);
 }
 
 /// Same as batch_kernel but A holds only the upper triangle (row-wise,
@@ -159,19 +123,7 @@ void batch_kernel_sym(std::size_t bs, std::size_t nc, std::size_t ns,
                       double* __restrict xe, double* __restrict ye,
                       double* __restrict y) {
   constexpr std::size_t L = fem::ElementOperator::kLanes;
-
-  for (std::size_t i = 0; i < 8; ++i) {
-    for (std::size_t c = 0; c < nc; ++c) {
-      double acc[L] = {0.0, 0.0, 0.0, 0.0};
-      for (std::size_t k = 0; k < ns; ++k) {
-        const std::size_t s = i * 4 + k;
-        for (std::size_t l = 0; l < L; ++l)
-          acc[l] += w[(s * nc + c) * L + l] *
-                    x[static_cast<std::size_t>(gb[s * L + l]) + c];
-      }
-      for (std::size_t l = 0; l < L; ++l) xe[(i * nc + c) * L + l] = acc[l];
-    }
-  }
+  gather_batch(nc, ns, gb, w, x, xe);
 
   // ye accumulates below-diagonal contributions as the rows above stream
   // by, so it must start at zero.
@@ -207,14 +159,7 @@ void batch_kernel_sym(std::size_t bs, std::size_t nc, std::size_t ns,
     arow += rowlen * L;
   }
 
-  for (std::size_t i = 0; i < 8; ++i)
-    for (std::size_t c = 0; c < nc; ++c)
-      for (std::size_t k = 0; k < ns; ++k) {
-        const std::size_t s = i * 4 + k;
-        for (std::size_t l = 0; l < L; ++l)
-          y[static_cast<std::size_t>(gb[s * L + l]) + c] +=
-              w[(s * nc + c) * L + l] * ye[(i * nc + c) * L + l];
-      }
+  scatter_batch(nc, ns, gb, w, ye, y);
 }
 
 }  // namespace
@@ -224,45 +169,10 @@ void ElementOperator::ensure_plan() const {
 }
 
 void ElementOperator::build_plan() const {
-  const std::size_t nc = static_cast<std::size_t>(ncomp_);
   const std::size_t bs = block_size();
   const std::size_t ne = mesh_->elements.size();
   constexpr std::size_t L = kLanes;
-
-  // Classify: an element is boundary iff any gather slot (corner dof or
-  // hanging-constraint master) is a ghost — only those elements write the
-  // ghost slots the accumulate ships, so the interior set is free to
-  // stream while the halo is in flight.
-  std::vector<std::int32_t> order;
-  order.reserve(ne);
-  std::size_t n_boundary = 0;
-  for (std::size_t e = 0; e < ne; ++e) {
-    bool boundary = false;
-    for (int i = 0; i < 8 && !boundary; ++i) {
-      const mesh::Corner& cc = mesh_->corners[e][static_cast<std::size_t>(i)];
-      for (int k = 0; k < cc.n; ++k)
-        if (!mesh_->is_owned(cc.dof[static_cast<std::size_t>(k)])) {
-          boundary = true;
-          break;
-        }
-    }
-    if (boundary) {
-      order.push_back(static_cast<std::int32_t>(e));
-      ++n_boundary;
-    }
-  }
-  for (std::size_t e = 0; e < ne; ++e) {
-    bool boundary = false;
-    for (int i = 0; i < 8 && !boundary; ++i) {
-      const mesh::Corner& cc = mesh_->corners[e][static_cast<std::size_t>(i)];
-      for (int k = 0; k < cc.n; ++k)
-        if (!mesh_->is_owned(cc.dof[static_cast<std::size_t>(k)])) {
-          boundary = true;
-          break;
-        }
-    }
-    if (!boundary) order.push_back(static_cast<std::int32_t>(e));
-  }
+  gather_.build(*mesh_, ncomp_, dirichlet_);
 
   // Exact symmetry scan: one mismatch anywhere selects the full layout.
   bool symmetric = true;
@@ -275,24 +185,13 @@ void ElementOperator::build_plan() const {
           break;
         }
   }
-
-  Plan& p = plan_;
-  p.symmetric = symmetric;
-  p.n_boundary = n_boundary;
-  p.n_interior = ne - n_boundary;
-  p.boundary_batches = (n_boundary + L - 1) / L;
-  p.n_batches = p.boundary_batches + (p.n_interior + L - 1) / L;
+  symmetric_ = symmetric;
   const std::size_t msize = symmetric ? bs * (bs + 1) / 2 : bs * bs;
-  p.mats.assign(p.n_batches * msize * L, 0.0);
-  p.gbase.assign(p.n_batches * 32 * L, 0);
-  p.w_raw.assign(p.n_batches * 32 * nc * L, 0.0);
-  p.w_bc.assign(p.n_batches * 32 * nc * L, 0.0);
-  p.slots.assign(p.n_batches, 1);
-
-  const auto pack_lane = [&](std::size_t batch, std::size_t lane,
-                             std::size_t e) {
+  plan_mats_.assign(gather_.n_batches * msize * L, 0.0);
+  for (std::size_t e = 0; e < ne; ++e) {
+    const std::size_t lane = gather_.lane_in_batch(e);
     const double* m = mats_.data() + e * bs * bs;
-    double* mb = p.mats.data() + batch * msize * L;
+    double* mb = plan_mats_.data() + gather_.batch_of(e) * msize * L;
     if (symmetric) {
       std::size_t t = 0;
       for (std::size_t i = 0; i < bs; ++i)
@@ -300,39 +199,7 @@ void ElementOperator::build_plan() const {
     } else {
       for (std::size_t ij = 0; ij < bs * bs; ++ij) mb[ij * L + lane] = m[ij];
     }
-    std::int32_t* gb = p.gbase.data() + batch * 32 * L;
-    double* wr = p.w_raw.data() + batch * 32 * nc * L;
-    double* wb = p.w_bc.data() + batch * 32 * nc * L;
-    for (int i = 0; i < 8; ++i) {
-      const mesh::Corner& cc = mesh_->corners[e][static_cast<std::size_t>(i)];
-      if (cc.n > p.slots[batch])
-        p.slots[batch] = static_cast<std::uint8_t>(cc.n);
-      for (int k = 0; k < cc.n; ++k) {
-        const std::size_t s = static_cast<std::size_t>(i) * 4 +
-                              static_cast<std::size_t>(k);
-        const std::size_t d =
-            static_cast<std::size_t>(cc.dof[static_cast<std::size_t>(k)]);
-        const double w = cc.w[static_cast<std::size_t>(k)];
-        gb[s * L + lane] = static_cast<std::int32_t>(d * nc);
-        for (std::size_t c = 0; c < nc; ++c) {
-          wr[(s * nc + c) * L + lane] = w;
-          wb[(s * nc + c) * L + lane] = dirichlet_[d * nc + c] ? 0.0 : w;
-        }
-      }
-    }
-  };
-
-  std::size_t cursor = 0;
-  for (std::size_t idx = 0; idx < n_boundary; ++idx, ++cursor)
-    pack_lane(idx / L, idx % L, static_cast<std::size_t>(order[cursor]));
-  for (std::size_t idx = 0; idx < p.n_interior; ++idx, ++cursor)
-    pack_lane(p.boundary_batches + idx / L, idx % L,
-              static_cast<std::size_t>(order[cursor]));
-
-  p.owned_dirichlet.clear();
-  const std::size_t owned = static_cast<std::size_t>(mesh_->n_owned) * nc;
-  for (std::size_t i = 0; i < owned; ++i)
-    if (dirichlet_[i]) p.owned_dirichlet.push_back(static_cast<std::int32_t>(i));
+  }
 
   work_xe_.resize(bs * L);
   work_ye_.resize(bs * L);
@@ -349,31 +216,27 @@ void ElementOperator::run_batches(std::size_t b0, std::size_t b1,
   assert(bs % 4 == 0);
   double* xe = work_xe_.data();
   double* ye = work_ye_.data();
-  const Plan& p = plan_;
-  const std::size_t msize = p.symmetric ? bs * (bs + 1) / 2 : bs * bs;
+  const std::size_t msize = symmetric_ ? bs * (bs + 1) / 2 : bs * bs;
   for (std::size_t b = b0; b < b1; ++b) {
-    const double* A = p.mats.data() + b * msize * L;
-    const std::int32_t* gb = p.gbase.data() + b * 32 * L;
+    const double* A = plan_mats_.data() + b * msize * L;
+    const std::int32_t* gb = gather_.gbase.data() + b * 32 * L;
     const double* w = weights + b * 32 * nc * L;
-    if (p.symmetric)
-      batch_kernel_sym(bs, nc, p.slots[b], A, gb, w, x.data(), xe, ye,
+    if (symmetric_)
+      batch_kernel_sym(bs, nc, gather_.slots[b], A, gb, w, x.data(), xe, ye,
                        y.data());
     else
-      batch_kernel(bs, nc, p.slots[b], A, gb, w, x.data(), xe, ye, y.data());
+      batch_kernel(bs, nc, gather_.slots[b], A, gb, w, x.data(), xe, ye,
+                   y.data());
   }
 }
 
 void ElementOperator::apply_batched(par::Comm& comm, const double* weights,
                                     std::span<const double> x,
                                     std::span<double> y) const {
-  const Plan& p = plan_;
-  std::fill(y.begin(), y.end(), 0.0);
-  // Boundary elements first: once they are done the ghost slots are
-  // final, so the accumulate can ship while the interior set streams.
-  run_batches(0, p.boundary_batches, weights, x, y);
-  mesh_->accumulate_start(comm, y, ncomp_);
-  run_batches(p.boundary_batches, p.n_batches, weights, x, y);
-  mesh_->accumulate_finish(comm, y, ncomp_);
+  gather_.apply_overlapped(comm, *mesh_, y,
+                           [&](std::size_t b0, std::size_t b1) {
+                             run_batches(b0, b1, weights, x, y);
+                           });
 }
 
 void ElementOperator::apply_raw(par::Comm& comm, std::span<const double> x,
@@ -381,7 +244,7 @@ void ElementOperator::apply_raw(par::Comm& comm, std::span<const double> x,
   ensure_plan();
   OBS_HW_SPAN("fem.apply");
   OBS_HIST_SPAN("fem.apply");
-  apply_batched(comm, plan_.w_raw.data(), x, y);
+  apply_batched(comm, gather_.w_raw.data(), x, y);
   mesh_->exchange_start(comm, y, ncomp_);
   mesh_->exchange_finish(comm, y, ncomp_);
 }
@@ -391,15 +254,8 @@ void ElementOperator::apply(par::Comm& comm, std::span<const double> x,
   ensure_plan();
   OBS_HW_SPAN("fem.apply");
   OBS_HIST_SPAN("fem.apply");
-  apply_batched(comm, plan_.w_bc.data(), x, y);
-  // Identity rows: the masked weights dropped every contribution into a
-  // constrained row, so owned Dirichlet values are restored from x before
-  // the exchange packs them — ghost copies then arrive from their owners
-  // with the same value (x is ghost-consistent). No O(n) masking pass.
-  for (std::int32_t i : plan_.owned_dirichlet)
-    y[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(i)];
-  mesh_->exchange_start(comm, y, ncomp_);
-  mesh_->exchange_finish(comm, y, ncomp_);
+  apply_batched(comm, gather_.w_bc.data(), x, y);
+  gather_.finish_with_identity_rows(comm, *mesh_, x, y);
 }
 
 double ElementOperator::dot(par::Comm& comm, std::span<const double> a,
@@ -413,14 +269,10 @@ double ElementOperator::dot(par::Comm& comm, std::span<const double> a,
 void ElementOperator::multi_dot(par::Comm& comm,
                                 std::span<const la::DotPair> pairs,
                                 std::span<double> out) const {
-  const std::size_t owned =
-      static_cast<std::size_t>(mesh_->n_owned) * static_cast<std::size_t>(ncomp_);
-  double local[8];
-  assert(pairs.size() <= 8);
-  for (std::size_t k = 0; k < pairs.size(); ++k)
-    local[k] =
-        la::pairwise_dot(pairs[k].a.first(owned), pairs[k].b.first(owned));
-  comm.allreduce_sum(std::span<const double>(local, pairs.size()), out);
+  owned_multi_dot(comm,
+                  static_cast<std::size_t>(mesh_->n_owned) *
+                      static_cast<std::size_t>(ncomp_),
+                  pairs, out);
 }
 
 void ElementOperator::lift_bcs(par::Comm& comm, std::span<const double> g,

@@ -5,15 +5,13 @@
 // strategy the paper describes. Dirichlet conditions are eliminated
 // symmetrically (identity rows/columns).
 //
-// The Krylov hot path runs through a lane-batched SoA plan built lazily
-// from the mesh: elements are sorted into boundary (touching a ghost dof)
-// and interior sets, packed kLanes at a time with lane-interleaved
-// element matrices and flattened gather/scatter index+weight tables (the
-// Dirichlet mask folded into the weights), so the inner dense matvec
-// vectorizes across lanes without FP reassociation. apply() computes the
-// boundary elements first, posts the ghost accumulate, and streams the
-// interior elements while the neighbor messages are in flight
-// (mesh::accumulate_start/finish). The original scalar path is kept as
+// The Krylov hot path runs through the shared lane-batched gather plan
+// (fem/gather_plan.hpp), built lazily from the mesh, with the element
+// matrices packed lane-interleaved in the plan's order so the inner dense
+// matvec vectorizes across lanes without FP reassociation. apply()
+// computes the boundary elements first, posts the ghost accumulate, and
+// streams the interior elements while the neighbor messages are in
+// flight. The original scalar path is kept as
 // apply_scalar()/apply_raw_scalar() — the parity reference and the
 // bench_apply baseline.
 //
@@ -23,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "fem/gather_plan.hpp"
 #include "la/csr.hpp"
 #include "la/dist_csr.hpp"
 #include "la/krylov.hpp"
@@ -33,7 +32,7 @@ namespace alps::fem {
 class ElementOperator {
  public:
   /// Elements per SIMD batch of the SoA apply plan.
-  static constexpr std::size_t kLanes = 4;
+  static constexpr std::size_t kLanes = GatherPlan::kLanes;
 
   ElementOperator(const mesh::Mesh* m, int ncomp)
       : mesh_(m), ncomp_(ncomp),
@@ -140,18 +139,18 @@ class ElementOperator {
   /// ghost accumulate, so the interior set streams while it is in flight.
   std::size_t boundary_elements() const {
     ensure_plan();
-    return plan_.n_boundary;
+    return gather_.n_boundary;
   }
   std::size_t interior_elements() const {
     ensure_plan();
-    return plan_.n_interior;
+    return gather_.n_interior;
   }
   /// Doubles of element-matrix data the batched plan streams per apply
   /// (upper-tri packed when symmetric, full blocks otherwise, lane padding
   /// included). bench_apply derives the achieved bytes/s from this.
   std::size_t plan_matrix_doubles() const {
     ensure_plan();
-    return plan_.mats.size();
+    return plan_mats_.size();
   }
 
   /// This rank's heap bytes: element matrices, Dirichlet masks, the
@@ -160,11 +159,9 @@ class ElementOperator {
   /// unbuilt plan reports its current (empty) footprint.
   std::uint64_t memory_bytes() const {
     using obs::vec_bytes;
-    return vec_bytes(mats_) + vec_bytes(dirichlet_) + vec_bytes(plan_.mats) +
-           vec_bytes(plan_.gbase) + vec_bytes(plan_.w_raw) +
-           vec_bytes(plan_.w_bc) + vec_bytes(plan_.slots) +
-           vec_bytes(plan_.owned_dirichlet) + vec_bytes(work_x_) +
-           vec_bytes(work_ax_) + vec_bytes(work_xe_) + vec_bytes(work_ye_);
+    return vec_bytes(mats_) + vec_bytes(dirichlet_) + vec_bytes(plan_mats_) +
+           gather_.memory_bytes() + vec_bytes(work_x_) + vec_bytes(work_ax_) +
+           vec_bytes(work_xe_) + vec_bytes(work_ye_);
   }
 
  private:
@@ -191,31 +188,17 @@ class ElementOperator {
   std::vector<std::uint8_t> dirichlet_;
 
   // ---- lane-batched SoA apply plan (DESIGN.md §10) ----------------------
-  // Boundary batches form a prefix so apply can post the ghost accumulate
-  // after [0, boundary_batches) and overlap [boundary_batches, n_batches)
-  // with the messages. Pad lanes carry dof base 0 with zero weights and a
-  // zeroed matrix block, so they contribute exactly nothing.
-  struct Plan {
-    std::size_t n_batches = 0;         // total kLanes-wide batches
-    std::size_t boundary_batches = 0;  // prefix of batches
-    std::size_t n_boundary = 0;        // real (unpadded) element counts
-    std::size_t n_interior = 0;
-    // When every element matrix is (bitwise) symmetric — Laplace, mass,
-    // the stabilized Stokes block — only the upper triangle is stored and
-    // the matvec does 2 FMAs per loaded entry. The apply is memory-bound
-    // on the matrix stream, so packing nearly halves its cost; detection
-    // is exact, nonsymmetric operators (e.g. advection) use the full
-    // layout.
-    bool symmetric = false;
-    std::vector<double> mats;       // full: [batch][i*bs+j][lane];
-                                    // packed: [batch][upper-tri rowwise][lane]
-    std::vector<std::int32_t> gbase;  // [batch][corner*4+slot][lane] = dof*nc
-    std::vector<double> w_raw;      // [batch][(corner*4+slot)*nc+c][lane]
-    std::vector<double> w_bc;       // w_raw with the Dirichlet mask folded in
-    std::vector<std::uint8_t> slots;  // [batch] max constraint fan-in (1..4)
-    std::vector<std::int32_t> owned_dirichlet;  // value idx < n_owned*nc
-  };
-  mutable Plan plan_;
+  // The gather plan's batches, with each lane's element matrix packed
+  // lane-interleaved. When every element matrix is (bitwise) symmetric —
+  // Laplace, mass — only the upper triangle is stored and the matvec does
+  // 2 FMAs per loaded entry. The apply is memory-bound on the matrix
+  // stream, so packing nearly halves its cost; detection is exact,
+  // nonsymmetric operators (e.g. advection) use the full layout. Pad lanes
+  // carry a zeroed matrix block.
+  mutable GatherPlan gather_;
+  mutable bool symmetric_ = false;
+  // full: [batch][i*bs+j][lane]; packed: [batch][upper-tri rowwise][lane]
+  mutable std::vector<double> plan_mats_;
   mutable bool plan_dirty_ = true;
 
   // Hot-path workspaces (mutable: apply/lift_bcs are logically const and

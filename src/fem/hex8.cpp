@@ -82,6 +82,10 @@ MappedQuad map_element(const ElemGeom& geom) {
     inv[2][0] = (j[1][0] * j[2][1] - j[1][1] * j[2][0]) / det;
     inv[2][1] = (j[0][1] * j[2][0] - j[0][0] * j[2][1]) / det;
     inv[2][2] = (j[0][0] * j[1][1] - j[0][1] * j[1][0]) / det;
+    for (int d = 0; d < 3; ++d)
+      for (int e = 0; e < 3; ++e)
+        mq.jit[static_cast<std::size_t>(q)][static_cast<std::size_t>(3 * d + e)] =
+            inv[e][d];
     for (int i = 0; i < 8; ++i) {
       Vec3 g = {};
       for (int d = 0; d < 3; ++d)

@@ -24,6 +24,8 @@ struct MappedQuad {
   // dN[q][i] = physical gradient of shape i at quad point q.
   std::array<std::array<Vec3, 8>, kQuad> dn;
   std::array<double, kQuad> jxw;  // |J| * weight
+  // J^-T at point q, row-major: dn[q][i][d] = sum_e jit[q][3d+e] dN_ref[e].
+  std::array<std::array<double, 9>, kQuad> jit;
   std::array<Vec3, kQuad> xq;     // physical position of the point
 };
 

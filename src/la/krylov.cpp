@@ -29,17 +29,6 @@ double pairwise_dot(std::span<const double> a, std::span<const double> b) {
          pairwise_dot(a.subspan(half), b.subspan(half));
 }
 
-const char* to_string(SolveStatus s) {
-  switch (s) {
-    case SolveStatus::kConverged: return "converged";
-    case SolveStatus::kMaxIterations: return "max_iterations";
-    case SolveStatus::kStagnated: return "stagnated";
-    case SolveStatus::kDiverged: return "diverged";
-    case SolveStatus::kNonFinite: return "non_finite";
-  }
-  return "unknown";
-}
-
 namespace detail {
 
 bool ConvergenceMonitor::update(int j, double relres) {

@@ -62,7 +62,18 @@ enum class SolveStatus : std::uint8_t {
 };
 
 /// Stable lower-case token for logs/telemetry ("converged", "diverged", ...).
-const char* to_string(SolveStatus s);
+/// Inline so the metrics server (alps_obs, below la) can match tokens
+/// without linking la.
+constexpr const char* to_string(SolveStatus s) {
+  switch (s) {
+    case SolveStatus::kConverged: return "converged";
+    case SolveStatus::kMaxIterations: return "max_iterations";
+    case SolveStatus::kStagnated: return "stagnated";
+    case SolveStatus::kDiverged: return "diverged";
+    case SolveStatus::kNonFinite: return "non_finite";
+  }
+  return "unknown";
+}
 
 struct SolveResult {
   int iterations = 0;

@@ -21,6 +21,7 @@
 #include <thread>
 #include <utility>
 
+#include "la/krylov.hpp"
 #include "obs/telemetry.hpp"
 
 namespace alps::obs {
@@ -273,11 +274,10 @@ void metrics_publish(const MetricsSnapshot& snap) {
   if (target >= 0 && rate > 0)
     eta = target > snap.step ? (target - snap.step) / rate : 0.0;
 
-  // Stagnation tracking: consecutive solves that made no progress.
+  // Stagnation tracking: consecutive solves that did not converge.
   if (snap.solver_ran) {
-    const bool bad = snap.solver_status == "stagnated" ||
-                     snap.solver_status == "diverged" ||
-                     snap.solver_status == "nonfinite";
+    const bool bad =
+        snap.solver_status != la::to_string(la::SolveStatus::kConverged);
     s.consecutive_stagnated = bad ? s.consecutive_stagnated + 1 : 0;
   }
 

@@ -93,8 +93,9 @@ int serve_port();
 void metrics_publish(const MetricsSnapshot& snap);
 /// Total steps this run intends to take (-1 = unknown): the ETA target.
 void metrics_set_target_steps(long steps);
-/// Consecutive non-converged ("stagnated"/"diverged"/"nonfinite") solves
-/// after which /healthz flips to 503. Returns the previous limit.
+/// Consecutive non-converged ("max_iterations"/"stagnated"/"diverged"/
+/// "non_finite", the la::to_string tokens) solves after which /healthz
+/// flips to 503. Returns the previous limit.
 int metrics_set_stagnation_limit(int n);
 /// Sticky kill switch: flips /healthz to 503 immediately (sentinel and
 /// drift trips call this before the SentinelError propagates).

@@ -19,17 +19,6 @@ double now_seconds() {
 
 }  // namespace
 
-void set_velocity_bcs(ElementOperator& op, const Mesh& m, VelocityBc bc) {
-  for (std::int64_t d = 0; d < m.n_local; ++d) {
-    const std::uint8_t mask = m.dof_boundary[static_cast<std::size_t>(d)];
-    if (mask == 0) continue;
-    for (int c = 0; c < 3; ++c) {
-      const std::uint8_t faces = static_cast<std::uint8_t>(0b11u << (2 * c));
-      if (bc == VelocityBc::kNoSlip || (mask & faces)) op.set_dirichlet(d, c);
-    }
-  }
-}
-
 StokesSolver::StokesSolver(par::Comm& comm, const Mesh& m,
                            const forest::Connectivity& conn,
                            std::span<const double> eta_quad,
@@ -45,7 +34,7 @@ StokesSolver::StokesSolver(par::Comm& comm, const Mesh& m,
   const std::size_t ne = m.elements.size();
   double t0 = now_seconds();
 
-  op_ = std::make_unique<ElementOperator>(&m, 4);
+  op_ = std::make_unique<fem::StokesOperator>(m, opt_.bc);
   for (int c = 0; c < 3; ++c)
     poisson_[static_cast<std::size_t>(c)] =
         std::make_unique<ElementOperator>(&m, 1);
@@ -62,30 +51,9 @@ StokesSolver::StokesSolver(par::Comm& comm, const Mesh& m,
     }
     eta_bar /= fem::kQuad;
 
-    const auto a = fem::viscous_block(mq, eq);
-    const auto b = fem::divergence_block(mq);
-    const fem::Mat8 cstab = fem::pressure_stabilization(mq, eta_bar);
+    op_->set_element(e, mq, eq);
     const fem::Mat8 kpois = fem::stiffness(mq, eq);
     const std::array<double, 8> lm = fem::lumped_mass(mq);
-
-    std::span<double> sm = op_->element_matrix(e);
-    const std::size_t bs = 32;
-    for (int i = 0; i < 8; ++i)
-      for (int j = 0; j < 8; ++j) {
-        for (int ci = 0; ci < 3; ++ci)
-          for (int cj = 0; cj < 3; ++cj)
-            sm[(static_cast<std::size_t>(4 * i + ci)) * bs + 4 * j + cj] =
-                a[static_cast<std::size_t>(3 * i + ci)]
-                 [static_cast<std::size_t>(3 * j + cj)];
-        for (int cj = 0; cj < 3; ++cj) {
-          sm[(static_cast<std::size_t>(4 * i + 3)) * bs + 4 * j + cj] =
-              b[static_cast<std::size_t>(i)][static_cast<std::size_t>(3 * j + cj)];
-          sm[(static_cast<std::size_t>(4 * j + cj)) * bs + 4 * i + 3] =
-              b[static_cast<std::size_t>(i)][static_cast<std::size_t>(3 * j + cj)];
-        }
-        sm[(static_cast<std::size_t>(4 * i + 3)) * bs + 4 * j + 3] =
-            -cstab[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
-      }
 
     for (int c = 0; c < 3; ++c) {
       std::span<double> pm =
@@ -108,17 +76,10 @@ StokesSolver::StokesSolver(par::Comm& comm, const Mesh& m,
   m.accumulate(comm, schur_diag_);
   m.exchange(comm, schur_diag_);
 
-  set_velocity_bcs(*op_, m, opt_.bc);
-  for (int c = 0; c < 3; ++c) {
-    ElementOperator& pc = *poisson_[static_cast<std::size_t>(c)];
-    for (std::int64_t d = 0; d < m.n_local; ++d) {
-      const std::uint8_t mask = m.dof_boundary[static_cast<std::size_t>(d)];
-      if (mask == 0) continue;
-      const std::uint8_t faces = static_cast<std::uint8_t>(0b11u << (2 * c));
-      if (opt_.bc == VelocityBc::kNoSlip || (mask & faces))
-        pc.set_dirichlet(d, 0);
-    }
-  }
+  for (int c = 0; c < 3; ++c)
+    for (std::int64_t d = 0; d < m.n_local; ++d)
+      if (op_->is_dirichlet(d, c))
+        poisson_[static_cast<std::size_t>(c)]->set_dirichlet(d, 0);
   timings_.assemble_seconds = now_seconds() - t0;
   phase_span.reset();
 
@@ -205,10 +166,7 @@ la::SolveResult StokesSolver::solve(par::Comm& comm,
   OBS_PHASE_SPAN("stokes.minres");
   const double t0 = now_seconds();
   la::LinOp aop = op_->as_linop(comm);
-  la::LinOp pre = [this, &comm](std::span<const double> in,
-                                std::span<double> out) {
-    apply_preconditioner(comm, in, out);
-  };
+  la::LinOp pre = preconditioner(comm);
   // Keep a residual history by default so the flight recorder always has
   // the last few MINRES convergence curves (identical on all ranks; only
   // rank 0 records to the shared registry).
@@ -270,15 +228,10 @@ std::vector<double> StokesSolver::buoyancy_rhs(
   m.accumulate(comm, rhs, 4);
   m.exchange(comm, rhs, 4);
   // Dirichlet velocity entries carry the boundary value (zero).
-  for (std::int64_t d = 0; d < m.n_local; ++d) {
-    const std::uint8_t mask = m.dof_boundary[static_cast<std::size_t>(d)];
-    if (mask == 0) continue;
-    for (int c = 0; c < 3; ++c) {
-      const std::uint8_t faces = static_cast<std::uint8_t>(0b11u << (2 * c));
-      if (opt.bc == VelocityBc::kNoSlip || (mask & faces))
-        rhs[static_cast<std::size_t>(d) * 4 + static_cast<std::size_t>(c)] = 0.0;
-    }
-  }
+  for (std::size_t d = 0; d < static_cast<std::size_t>(m.n_local); ++d)
+    for (int c = 0; c < 3; ++c)
+      if (fem::velocity_dirichlet(m.dof_boundary[d], c, opt.bc))
+        rhs[d * 4 + static_cast<std::size_t>(c)] = 0.0;
   return rhs;
 }
 

@@ -26,17 +26,14 @@
 #include "amg/dist_amg.hpp"
 #include "amg/hierarchy_cache.hpp"
 #include "fem/operators.hpp"
+#include "fem/stokes_operator.hpp"
 #include "la/krylov.hpp"
 
 namespace alps::stokes {
 
 using fem::ElementOperator;
+using fem::VelocityBc;
 using mesh::Mesh;
-
-enum class VelocityBc {
-  kFreeSlip,  // u.n = 0 on every physical face (mantle convection setup)
-  kNoSlip,    // u = 0 on every physical face
-};
 
 /// Hierarchy-reuse policy when a HierarchyCache is supplied: a valid
 /// cache (same mesh epoch) skips the symbolic AMG setup and runs the
@@ -67,10 +64,12 @@ struct StokesTimings {
 class StokesSolver {
  public:
   /// Viscosity is supplied per element per quadrature point (ne * 8).
-  /// Setup assembles the saddle operator, the three Poisson AMG
-  /// hierarchies, and the inverse-viscosity Schur diagonal. When `cache`
-  /// is non-null and valid for the current mesh epoch, the hierarchies in
-  /// it are reused per opt.reuse instead of being rebuilt. Collective.
+  /// Setup fills the matrix-free saddle operator's quadrature data, the
+  /// three Poisson element matrices and the inverse-viscosity Schur
+  /// diagonal in one element loop, then builds the Poisson AMG
+  /// hierarchies. When `cache` is non-null and valid for the current mesh
+  /// epoch, the hierarchies in it are reused per opt.reuse instead of
+  /// being rebuilt. Collective.
   StokesSolver(par::Comm& comm, const Mesh& m,
                const forest::Connectivity& conn,
                std::span<const double> eta_quad, const StokesOptions& opt,
@@ -82,7 +81,13 @@ class StokesSolver {
   la::SolveResult solve(par::Comm& comm, std::span<const double> rhs,
                         std::span<double> x);
 
-  const ElementOperator& op() const { return *op_; }
+  const fem::StokesOperator& op() const { return *op_; }
+  /// The block-diagonal preconditioner P^-1 that solve() runs MINRES with.
+  la::LinOp preconditioner(par::Comm& comm) {
+    return [this, &comm](std::span<const double> in, std::span<double> out) {
+      apply_preconditioner(comm, in, out);
+    };
+  }
   const StokesTimings& timings() const { return timings_; }
   const amg::DistAmg& velocity_amg(int comp) const {
     return *cache_->amg[static_cast<std::size_t>(comp)];
@@ -108,7 +113,7 @@ class StokesSolver {
 
   const Mesh* mesh_;
   StokesOptions opt_;
-  std::unique_ptr<ElementOperator> op_;          // 4-comp saddle operator
+  std::unique_ptr<fem::StokesOperator> op_;      // matrix-free saddle operator
   std::array<std::unique_ptr<ElementOperator>, 3> poisson_;
   amg::HierarchyCache own_cache_;   // used when no external cache is given
   amg::HierarchyCache* cache_;      // holds the three velocity hierarchies
@@ -116,8 +121,5 @@ class StokesSolver {
   std::vector<double> comp_b_, comp_x_;          // owned-slice workspaces
   StokesTimings timings_;
 };
-
-/// Apply the velocity boundary conditions of `opt` to a 4-comp operator.
-void set_velocity_bcs(ElementOperator& op, const Mesh& m, VelocityBc bc);
 
 }  // namespace alps::stokes

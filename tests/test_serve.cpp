@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "la/krylov.hpp"
 #include "obs/analysis.hpp"
 #include "obs/histogram.hpp"
 #include "obs/obs.hpp"
@@ -451,6 +452,29 @@ TEST_F(ServeTest, HealthzFlipsTo503OnStagnationAndStickyMark) {
   EXPECT_NE(http_get(port, "/healthz").find("503"), std::string::npos);
   EXPECT_NE(http_get(port, "/metrics").find("alps_healthy 0"),
             std::string::npos);
+}
+
+// Every non-converged la::to_string token counts toward the limit,
+// including the underscore spellings "non_finite" and "max_iterations".
+TEST_F(ServeTest, HealthzFlipsTo503OnNonFiniteAndMaxIterationSolves) {
+  const int port = obs::serve_start(0);
+  ASSERT_GT(port, 0);
+  obs::metrics_set_stagnation_limit(3);
+  for (const la::SolveStatus st :
+       {la::SolveStatus::kNonFinite, la::SolveStatus::kMaxIterations}) {
+    SCOPED_TRACE(la::to_string(st));
+    obs::MetricsSnapshot snap = sample_snapshot();
+    snap.solver_status = la::to_string(st);
+    for (int i = 0; i < 2; ++i) obs::metrics_publish(snap);
+    EXPECT_NE(http_get(port, "/healthz").find("200 OK"), std::string::npos);
+    obs::metrics_publish(snap);  // third consecutive: trip
+    const std::string r = http_get(port, "/healthz");
+    EXPECT_NE(r.find("503"), std::string::npos);
+    EXPECT_NE(r.find("stagnated_solves=3"), std::string::npos);
+    snap.solver_status = la::to_string(la::SolveStatus::kConverged);
+    obs::metrics_publish(snap);  // clears the run
+    EXPECT_NE(http_get(port, "/healthz").find("200 OK"), std::string::npos);
+  }
 }
 #endif  // ALPS_OBS_DISABLE
 

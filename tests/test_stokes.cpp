@@ -1,12 +1,18 @@
-// Tests for the variable-viscosity stabilized Stokes solver (src/stokes).
+// Tests for the variable-viscosity stabilized Stokes solver (src/stokes)
+// and its matrix-free saddle operator (src/fem/stokes_operator), which
+// must match the operator assembled from hex8's element blocks.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "rhea/viscosity.hpp"
 #include "stokes/picard.hpp"
 #include "par/runtime.hpp"
+#include "saddle_reference.hpp"
+#include "test_meshes.hpp"
 
 namespace {
 
@@ -21,6 +27,42 @@ using stokes::StokesSolver;
 
 std::vector<double> constant_eta(const Mesh& m, double eta) {
   return std::vector<double>(m.elements.size() * 8, eta);
+}
+
+// Viscosity varying by about three orders of magnitude across the domain.
+std::vector<double> varying_eta(const Mesh& m, const Connectivity& conn) {
+  std::vector<double> eta(m.elements.size() * 8);
+  for (std::size_t e = 0; e < m.elements.size(); ++e) {
+    const fem::MappedQuad mq =
+        fem::map_element(fem::element_geometry(m, conn, e));
+    for (std::size_t q = 0; q < 8; ++q) {
+      const auto& x = mq.xq[q];
+      eta[8 * e + q] =
+          std::exp(3.0 * std::sin(2.0 * x[0] + x[1]) * std::cos(1.5 * x[2]));
+    }
+  }
+  return eta;
+}
+
+// Deterministic ghost-consistent velocity + pressure keyed on the gid.
+std::vector<double> gid_field(const Mesh& m) {
+  std::vector<double> x(static_cast<std::size_t>(m.n_local) * 4);
+  for (std::size_t d = 0; d < static_cast<std::size_t>(m.n_local); ++d)
+    for (std::size_t c = 0; c < 4; ++c)
+      x[d * 4 + c] =
+          std::sin(0.37 * static_cast<double>(m.dof_gids[d]) + 0.7 * c);
+  return x;
+}
+
+// Global max |a - b| / max |b| over every local value.
+double relative_difference(Comm& c, const std::vector<double>& a,
+                           const std::vector<double>& b) {
+  double diff = 0.0, scale = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    diff = std::max(diff, std::abs(a[i] - b[i]));
+    scale = std::max(scale, std::abs(b[i]));
+  }
+  return c.allreduce_max(diff) / c.allreduce_max(scale);
 }
 
 // Hot blob at the bottom center: buoyant rise test.
@@ -265,6 +307,95 @@ TEST(Viscosity, ThreeLayerLawMatchesPaper) {
   EXPECT_NEAR(law({0, 0, 0.5}, 0.5, 0.0), 50.0 * std::exp(-3.45), 1e-9);
   // Four orders of magnitude contrast across temperature at fixed depth.
   EXPECT_GT(law({0, 0, 0.5}, 0.0, 0.0) / law({0, 0, 0.95}, 1.0, 100.0), 1e3);
+}
+
+TEST(StokesOperator, MatchesAssembledSaddleOperator) {
+  for (const int p : {1, 2, 4})
+    alps::par::run(p, [](Comm& c) {
+      struct Case {
+        const char* name;
+        Forest f;
+      };
+      Case cases[] = {
+          // Refined across the tree interface x = 1 and the rank cuts.
+          {"brick", test::adapted_forest(c, Connectivity::brick(2, 1, 1), 2,
+                                         {1.0, 0.5, 0.5}, 0.1)},
+          {"shell caps", test::adapted_forest(c, test::positive_shell_caps(),
+                                              1, {3.0, 1.0, 1.0}, 1.0)},
+      };
+      for (const Case& k : cases) {
+        const Mesh m = extract_mesh(c, k.f);
+        const Connectivity& conn = k.f.connectivity();
+        std::int64_t hanging = 0, remote_masters = 0;
+        for (const auto& corners : m.corners)
+          for (const mesh::Corner& cc : corners) {
+            hanging += cc.hanging;
+            for (std::size_t j = 0; cc.hanging && j < std::size_t(cc.n); ++j)
+              remote_masters += !m.is_owned(cc.dof[j]);
+          }
+        ASSERT_GT(c.allreduce_sum(hanging), 0);
+        if (c.size() > 1 && std::string(k.name) == "brick") {
+          ASSERT_GT(c.allreduce_sum(remote_masters), 0);
+        }
+
+        const std::vector<double> eta = varying_eta(m, conn);
+        const std::vector<double> x = gid_field(m);
+        for (const fem::VelocityBc bc :
+             {fem::VelocityBc::kFreeSlip, fem::VelocityBc::kNoSlip}) {
+          SCOPED_TRACE(std::string(k.name) + ", P = " +
+                       std::to_string(c.size()) +
+                       (bc == fem::VelocityBc::kNoSlip ? ", no-slip"
+                                                       : ", free-slip"));
+          const fem::StokesOperator op =
+              test::matrix_free_saddle(m, conn, eta, bc);
+          const fem::ElementOperator ref =
+              test::assembled_saddle(m, conn, eta, bc);
+          std::vector<double> y(x.size()), y_ref(x.size());
+          op.apply(c, x, y);
+          ref.apply(c, x, y_ref);
+          EXPECT_LE(relative_difference(c, y, y_ref), 1e-12);
+        }
+      }
+    });
+}
+
+TEST(StokesOperator, PicardMinresIterationsMatchAssembledOperator) {
+  alps::par::run(2, [](Comm& c) {
+    Forest f = Forest::new_uniform(c, Connectivity::unit_cube(), 2);
+    Mesh m = extract_mesh(c, f);
+    const Connectivity& conn = f.connectivity();
+    const std::vector<double> t = fem::interpolate(m, blob_t);
+    rhea::YieldingLawOptions yopt;
+    yopt.sigma_y = 10.0;
+    const stokes::ViscosityLaw law = rhea::three_layer_yielding(yopt);
+    StokesOptions opt;
+    opt.krylov.rtol = 1e-6;
+    opt.krylov.max_iterations = 300;
+    std::vector<double> x(static_cast<std::size_t>(m.n_local) * 4, 0.0);
+    for (int it = 0; it < 3; ++it) {
+      SCOPED_TRACE("Picard iteration " + std::to_string(it));
+      const std::vector<double> eta =
+          stokes::evaluate_viscosity(m, conn, law, t, x);
+      StokesSolver solver(c, m, conn, eta, opt);
+      const fem::ElementOperator ref =
+          test::assembled_saddle(m, conn, eta, opt.bc);
+      const std::vector<double> rhs =
+          StokesSolver::buoyancy_rhs(c, m, conn, t, 1e4, 2, opt);
+      std::vector<double> x_ref = x;
+      const la::SolveResult r =
+          la::minres(solver.op().as_linop(c), rhs, x,
+                     solver.preconditioner(c), solver.op().as_multi_dot(c),
+                     opt.krylov);
+      const la::SolveResult r_ref =
+          la::minres(ref.as_linop(c), rhs, x_ref, solver.preconditioner(c),
+                     ref.as_multi_dot(c), opt.krylov);
+      ASSERT_TRUE(r.converged);
+      ASSERT_TRUE(r_ref.converged);
+      EXPECT_LE(std::abs(r.iterations - r_ref.iterations), 1)
+          << r.iterations << " vs " << r_ref.iterations;
+      EXPECT_LE(relative_difference(c, x, x_ref), 1e-4);
+    }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, StokesRanks, ::testing::Values(1, 2));
