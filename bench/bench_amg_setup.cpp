@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
       la::DistCsr a = op.assemble_dist(c);
       const std::int64_t nnz = c.allreduce_sum(a.local_nnz());
       double t0 = now_s();
-      amg::DistAmg amg(c, std::move(a), {});
+      amg::DistAmg amg(c, std::move(a));
       const double ts = now_s() - t0;
       // The numeric refresh path: re-assemble (viscosity would have
       // changed) and replay the cached RAP plans.

@@ -78,7 +78,7 @@ Cost run_case(la::Csr a) {
   Cost c;
   c.n = a.rows();
   double t0 = now_s();
-  amg::Amg amg(std::move(a), {});
+  amg::Amg amg(std::move(a));
   c.setup = now_s() - t0;
   c.op_complexity = amg.operator_complexity();
   for (const amg::LevelStats& s : amg.level_stats()) c.hier_nnz += s.nnz;
@@ -156,7 +156,7 @@ int main() {
       mesh::Mesh m = mesh::extract_mesh(c, f);
       fem::ElementOperator op = poisson_operator(f, m);
       double t0 = now_s();
-      amg::DistAmg amg(c, op.assemble_dist(c), {});
+      amg::DistAmg amg(c, op.assemble_dist(c));
       const double setup = now_s() - t0;
       const std::int64_t nown = amg.finest().owned_rows();
       std::vector<double> b(static_cast<std::size_t>(nown), 1.0);

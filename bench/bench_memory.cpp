@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
       bench::adapt_toward_point(c, f, {0.5, 0.5, 0.5}, 1, level + 1);
       mesh::Mesh m = mesh::extract_mesh(c, f);
       fem::ElementOperator op = poisson_operator(f, m);
-      amg::DistAmg amg(c, op.assemble_dist(c), {});
+      amg::DistAmg amg(c, op.assemble_dist(c));
 
       // Pull-model accounting, same scopes rhea::Simulation reports.
       static const obs::MemScopeId kForest = obs::mem_scope("forest.octants");

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
     // dofs [0, n_owned) carry gids gid_offset + i, so solver vectors are
     // just the owned slice of a mesh field; one halo exchange refreshes
     // the ghosts afterwards.
-    amg::DistAmg amg(comm, op.assemble_dist(comm), {});
+    amg::DistAmg amg(comm, op.assemble_dist(comm));
     std::vector<double> pb(static_cast<std::size_t>(m.n_owned));
     std::vector<double> px(static_cast<std::size_t>(m.n_owned));
     la::LinOp pre = [&](std::span<const double> x, std::span<double> y) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Gate machine-readable BENCH_*.json results in CI.
 
-Four schemas are understood, detected from the file contents:
+Five schemas are understood, detected from the file contents:
 
 bench_amg_setup (cases[].setup_ns_per_nnz): the two-pass Galerkin setup
 is linear in nnz, so the per-nonzero setup cost must stay flat as the
@@ -33,6 +33,12 @@ the lowest level's, for the total and for every subsystem that carries
 at least --min-mem-share of the highest level's footprint (fixed-size
 overheads like the obs ring buffers legitimately shrink per dof, and
 surface terms like mesh.halo shrink too; only growth is a leak).
+
+bench_fig2_stokes_weak (cases[].minres_iterations): the paper's Fig. 2
+shape. Every level's solve must converge, every timings_s phase must
+take positive time, the AMG V-cycles (amg_apply, run inside MINRES) must
+not exceed the MINRES seconds, and the max/min MINRES iteration count
+across levels must stay within MAX_STOKES_ITER_RATIO.
 """
 
 import argparse
@@ -42,6 +48,12 @@ import sys
 # Relative agreement required of the matrix-free and assembled Stokes
 # saddle applies (the tolerance of the operator parity test).
 MAX_MF_DIFF = 1e-12
+
+# Widest max/min band of MINRES iterations across the Stokes weak-scaling
+# levels (the paper's Fig. 2 shows 47-68 from 271K to 2.17B dof).
+MAX_STOKES_ITER_RATIO = 1.25
+# The Stokes solver phases bench_fig2_stokes_weak reports.
+STOKES_PHASES = ("assemble", "amg_setup", "amg_apply", "minres")
 
 def check_amg_setup(data, args) -> int:
     cases = [c for c in data.get("cases", [])
@@ -220,6 +232,50 @@ def check_memory(data, args) -> int:
     return 0 if ok else 1
 
 
+def check_stokes(data) -> int:
+    cases = [c for c in data.get("cases", [])
+             if "minres_iterations" in c and "level" in c]
+    if len(cases) < 2:
+        print(f"check_bench: need at least two levels, got {len(cases)}")
+        return 1
+    cases.sort(key=lambda c: c["level"])
+    ok = True
+    for c in cases:
+        t = c.get("timings_s", {})
+        missing = [k for k in STOKES_PHASES if k not in t]
+        nonpositive = [k for k, v in t.items() if not v > 0]
+        nested = t.get("amg_apply", 0) <= t.get("minres", 0)
+        converged = c.get("converged") is True
+        line_ok = not missing and not nonpositive and nested and converged
+        print(f"  level {c['level']} (ranks {c.get('ranks', '?')}): "
+              f"{c['minres_iterations']} MINRES iterations, "
+              f"converged={converged}, "
+              + ", ".join(f"{k} {t.get(k, 0):.3f}s" for k in STOKES_PHASES)
+              + f": {'PASS' if line_ok else 'FAIL'}")
+        if missing:
+            print(f"check_bench: FAIL level {c['level']} lacks timings "
+                  f"{missing}")
+        if nonpositive:
+            print(f"check_bench: FAIL level {c['level']} timings not "
+                  f"positive: {nonpositive}")
+        if not nested:
+            print(f"check_bench: FAIL level {c['level']} amg_apply exceeds "
+                  "minres")
+        ok = ok and line_ok
+
+    iters = [c["minres_iterations"] for c in cases]
+    if min(iters) <= 0:
+        print("check_bench: FAIL a level reports no MINRES iterations")
+        return 1
+    ratio = max(iters) / min(iters)
+    verdict = "PASS" if ratio <= MAX_STOKES_ITER_RATIO else "FAIL"
+    print(f"check_bench: MINRES iterations {min(iters)}-{max(iters)} across "
+          f"levels, max/min = {ratio:.2f} "
+          f"(max allowed {MAX_STOKES_ITER_RATIO:.2f}): {verdict}")
+    ok = ok and ratio <= MAX_STOKES_ITER_RATIO
+    return 0 if ok else 1
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("bench_json", nargs="?", default="BENCH_amg_setup.json",
@@ -266,6 +322,8 @@ def main() -> int:
         return check_amg_setup(data, args)
     if any("bytes_per_dof" in c for c in cases):
         return check_memory(data, args)
+    if any("minres_iterations" in c for c in cases):
+        return check_stokes(data)
     print(f"check_bench: unrecognized schema in {args.bench_json}")
     return 1
 

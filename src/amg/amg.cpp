@@ -1,13 +1,11 @@
 #include "amg/amg.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <queue>
-#include <stdexcept>
 
 #include "amg/classical.hpp"
+#include "amg/smoother.hpp"
 #include "obs/histogram.hpp"
-#include "obs/telemetry.hpp"
 
 namespace alps::amg {
 
@@ -170,12 +168,12 @@ la::Csr build_interpolation(const la::Csr& a,
 
 }  // namespace
 
-Amg::Amg(la::Csr a, const AmgOptions& opt) : opt_(opt) {
+Amg::Amg(la::Csr a) {
   la::Csr cur = std::move(a);
-  for (int lvl = 0; lvl < opt_.max_levels; ++lvl) {
+  for (int lvl = 0; lvl < kMaxLevels; ++lvl) {
     stats_.push_back(LevelStats{cur.rows(), cur.nnz()});
-    if (cur.rows() <= opt_.coarse_size) break;
-    const auto strong = strength_graph(cur, opt_.strength_theta);
+    if (cur.rows() <= kCoarseSize) break;
+    const auto strong = strength_graph(cur, kStrengthTheta);
     const auto cf = split_cf(strong);
     std::vector<std::int64_t> cidx;
     la::Csr p = build_interpolation(cur, strong, cf, cidx);
@@ -191,15 +189,6 @@ Amg::Amg(la::Csr a, const AmgOptions& opt) : opt_(opt) {
   }
   coarse_a_ = std::move(cur);
   coarse_ = std::make_unique<la::DenseLu>(coarse_a_);
-  if (opt_.smoother == Smoother::kChebyshev) {
-    for (Level& L : levels_) {
-      L.diag = L.a.diagonal();
-      const double rho =
-          estimate_rho_dinv_a(L.a, L.diag, opt_.cheby_power_its);
-      L.eig_min = opt_.cheby_lower * rho;
-      L.eig_max = opt_.cheby_upper * rho;
-    }
-  }
   // Scratch for every level.
   scratch_r_.resize(levels_.size() + 1);
   scratch_x_.resize(levels_.size() + 1);
@@ -218,14 +207,8 @@ void Amg::cycle(std::size_t lvl, std::span<const double> b,
     return;
   }
   const Level& L = levels_[lvl];
-  const auto smooth = [&](bool forward) {
-    if (opt_.smoother == Smoother::kChebyshev)
-      chebyshev(L.a, L.diag, b, x, L.eig_min, L.eig_max, opt_.cheby_degree,
-                L.cheb);
-    else
-      gauss_seidel(L.a, b, x, forward);
-  };
-  for (int s = 0; s < opt_.pre_smooth; ++s) smooth(/*forward=*/true);
+  for (int s = 0; s < kPreSmooth; ++s)
+    gauss_seidel(L.a, b, x, /*forward=*/true);
   // Residual and restriction.
   std::vector<double>& res = scratch_r_[lvl];
   L.a.matvec(x, res);
@@ -238,40 +221,13 @@ void Amg::cycle(std::size_t lvl, std::span<const double> b,
   std::vector<double>& corr = scratch_x_[lvl];
   L.p.matvec(xc, corr);
   for (std::size_t i = 0; i < corr.size(); ++i) x[i] += corr[i];
-  for (int s = 0; s < opt_.post_smooth; ++s) smooth(/*forward=*/false);
+  for (int s = 0; s < kPostSmooth; ++s)
+    gauss_seidel(L.a, b, x, /*forward=*/false);
 }
 
 void Amg::vcycle(std::span<const double> b, std::span<double> x) const {
   OBS_HIST_SPAN("amg.vcycle");
   cycle(0, b, x);
-}
-
-void Amg::solve(std::span<const double> b, std::span<double> x,
-                int cycles) const {
-  if (!opt_.track_convergence) {
-    for (int c = 0; c < cycles; ++c) vcycle(b, x);
-    return;
-  }
-  const la::Csr& a = levels_.empty() ? coarse_a_ : levels_.front().a;
-  std::vector<double> res(static_cast<std::size_t>(a.rows()));
-  const auto residual_norm = [&] {
-    a.matvec(x, res);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < res.size(); ++i) {
-      const double r = b[i] - res[i];
-      sum += r * r;
-    }
-    return std::sqrt(sum);
-  };
-  factors_.clear();
-  double prev = residual_norm();
-  for (int c = 0; c < cycles; ++c) {
-    vcycle(b, x);
-    const double cur = residual_norm();
-    factors_.push_back(prev > 0.0 ? cur / prev : 0.0);
-    prev = cur;
-  }
-  obs::record_history("amg.solve.factors", factors_);
 }
 
 double Amg::operator_complexity() const {

@@ -6,43 +6,21 @@
 // preconditioner for the variable-viscosity Poisson blocks of the Stokes
 // preconditioner. One V-cycle per application, as in the paper.
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
-#include "amg/smoother.hpp"
 #include "la/csr.hpp"
 
 namespace alps::amg {
 
-/// Smoother choice for both the replicated and the distributed hierarchy.
-/// Hybrid Gauss-Seidel is the sequential-sweep default; Chebyshev is a
-/// polynomial in D^{-1}A whose only communication is the ghost-exchange
-/// matvec, so a distributed application has no rank-order dependence.
-enum class Smoother {
-  kHybridGS,
-  kChebyshev,
-};
-
-struct AmgOptions {
-  double strength_theta = 0.25;  // classical strength threshold
-  int max_levels = 25;
-  std::int64_t coarse_size = 64;  // direct solve at or below this
-  int pre_smooth = 1;
-  int post_smooth = 1;
-  Smoother smoother = Smoother::kHybridGS;
-  /// Chebyshev polynomial degree (matvecs per smoother application).
-  int cheby_degree = 3;
-  /// Power-iteration steps for the spectral-radius estimate of D^{-1}A.
-  int cheby_power_its = 10;
-  /// Smoothing interval [cheby_lower * rho, cheby_upper * rho] around the
-  /// estimated spectral radius rho; the upper safety factor absorbs the
-  /// power-iteration underestimate.
-  double cheby_lower = 0.30;
-  double cheby_upper = 1.10;
-  /// When set, solve() measures ||r_k|| / ||r_{k-1}|| per V-cycle (one
-  /// extra fine-level matvec each) and keeps it in convergence_factors().
-  bool track_convergence = false;
-};
+// The one configuration both hierarchies run (BoomerAMG's defaults).
+inline constexpr double kStrengthTheta = 0.25;  // classical strength threshold
+inline constexpr int kMaxLevels = 25;
+inline constexpr std::int64_t kCoarseSize = 64;  // direct solve at or below this
+inline constexpr int kPreSmooth = 1;   // forward sweeps before restriction
+inline constexpr int kPostSmooth = 1;  // backward sweeps after prolongation
 
 struct LevelStats {
   std::int64_t n = 0;
@@ -53,20 +31,11 @@ class Amg {
  public:
   /// Setup phase: builds the grid hierarchy (the paper reuses one setup
   /// across the 16 time steps between mesh adaptations).
-  Amg(la::Csr a, const AmgOptions& opt = {});
+  explicit Amg(la::Csr a);
 
   /// One V-cycle applied to A x = b, overwriting x (initial guess zero is
   /// typical for preconditioner use).
   void vcycle(std::span<const double> b, std::span<double> x) const;
-
-  /// Run `cycles` V-cycles, keeping x as the running iterate. With
-  /// opt.track_convergence the per-cycle residual contraction factors are
-  /// recorded (see convergence_factors).
-  void solve(std::span<const double> b, std::span<double> x, int cycles) const;
-
-  /// ||r_k|| / ||r_{k-1}|| for each V-cycle of the last tracked solve();
-  /// empty unless opt.track_convergence was set.
-  const std::vector<double>& convergence_factors() const { return factors_; }
 
   int num_levels() const { return static_cast<int>(stats_.size()); }
   const std::vector<LevelStats>& level_stats() const { return stats_; }
@@ -80,21 +49,15 @@ class Amg {
     la::Csr a;
     la::Csr p;  // prolongation to this level from the next-coarser one
     la::Csr r;  // restriction (P^T)
-    // Chebyshev smoother data (filled only with Smoother::kChebyshev).
-    std::vector<double> diag;
-    double eig_min = 0.0, eig_max = 0.0;
-    mutable ChebyWork cheb;
   };
 
   void cycle(std::size_t lvl, std::span<const double> b,
              std::span<double> x) const;
 
-  AmgOptions opt_;
   std::vector<Level> levels_;  // levels_[k].p/r connect level k and k+1
   std::unique_ptr<la::DenseLu> coarse_;
   la::Csr coarse_a_;
   std::vector<LevelStats> stats_;
-  mutable std::vector<double> factors_;  // last tracked solve()
   // Scratch buffers per level (mutable: vcycle is logically const).
   mutable std::vector<std::vector<double>> scratch_r_, scratch_x_;
 };

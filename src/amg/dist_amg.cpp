@@ -1,7 +1,6 @@
 #include "amg/dist_amg.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -9,7 +8,6 @@
 #include "obs/histogram.hpp"
 #include "obs/hwcounters.hpp"
 #include "obs/obs.hpp"
-#include "obs/telemetry.hpp"
 
 namespace alps::amg {
 
@@ -48,51 +46,24 @@ std::int64_t ac_position(const la::DistCsr& ac, std::int64_t kr,
   return -(it - ci.begin()) - 1;
 }
 
-/// Spectral-radius estimate of D^{-1}A by power iteration; one matvec and
-/// one allreduce per step, deterministic start vector. Collective.
-double estimate_rho_dist(par::Comm& comm, const la::DistCsr& a,
-                         std::span<const double> diag, int iterations) {
-  const std::size_t n = static_cast<std::size_t>(a.owned_rows());
-  std::vector<double> v(n), w(n);
-  for (std::size_t i = 0; i < n; ++i)
-    v[i] = 1.0 + 0.5 * std::sin(static_cast<double>(a.row_begin() +
-                                                    static_cast<std::int64_t>(i)));
-  double rho = 1.0;
-  for (int it = 0; it < iterations; ++it) {
-    a.matvec(comm, v, w);
-    double local = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = diag[i];
-      w[i] = d != 0.0 ? w[i] / d : w[i];
-      local += w[i] * w[i];
-    }
-    const double nrm = std::sqrt(comm.allreduce_sum(local));
-    if (nrm == 0.0) return 1.0;
-    rho = nrm;
-    for (std::size_t i = 0; i < n; ++i) v[i] = w[i] / nrm;
-  }
-  return rho;
-}
-
 }  // namespace
 
 // ---- setup ----------------------------------------------------------------
 
-DistAmg::DistAmg(par::Comm& comm, la::DistCsr a, const AmgOptions& opt)
-    : opt_(opt) {
+DistAmg::DistAmg(par::Comm& comm, la::DistCsr a) {
   // Trace-only span: the phase-accumulating "amg.setup" span is owned by
   // the caller (StokesSolver), which may build several hierarchies. The
   // amg.setup.* sub-phases below attribute the setup stages separately.
   OBS_SPAN("amg.dist_setup");
   la::DistCsr cur = std::move(a);
-  for (int lvl = 0; lvl < opt_.max_levels; ++lvl) {
+  for (int lvl = 0; lvl < kMaxLevels; ++lvl) {
     const std::int64_t n_global = cur.global_rows();
     stats_.push_back(LevelStats{n_global, comm.allreduce_sum(cur.local_nnz())});
     local_nnz_per_level_.push_back(cur.local_nnz());
     obs::counter_add(
         obs::counter(("amg.level" + std::to_string(lvl) + ".nnz").c_str()),
         static_cast<std::uint64_t>(cur.local_nnz()));
-    if (n_global <= opt_.coarse_size) break;
+    if (n_global <= kCoarseSize) break;
 
     const std::int64_t n = cur.owned_rows();
     const la::Csr& D = cur.diag();
@@ -116,7 +87,7 @@ DistAmg::DistAmg(par::Comm& comm, la::DistCsr a, const AmgOptions& opt)
              k < O.rowptr()[static_cast<std::size_t>(i) + 1]; ++k)
           maxneg = std::max(maxneg, -O.values()[static_cast<std::size_t>(k)]);
         if (maxneg <= 0.0) continue;
-        const double cut = opt_.strength_theta * maxneg;
+        const double cut = kStrengthTheta * maxneg;
         for (std::int64_t k = D.rowptr()[static_cast<std::size_t>(i)];
              k < D.rowptr()[static_cast<std::size_t>(i) + 1]; ++k) {
           const std::int64_t j = D.colidx()[static_cast<std::size_t>(k)];
@@ -246,8 +217,8 @@ DistAmg::DistAmg(par::Comm& comm, la::DistCsr a, const AmgOptions& opt)
     L.xc.resize(static_cast<std::size_t>(L.p.owned_cols()));
     L.ghost.resize(L.a.plan().num_ghosts());
   }
-  // Replicates the (tiny) coarsest operator for the direct solve and
-  // estimates the Chebyshev intervals; shared with refresh_numeric.
+  // Replicates the (tiny) coarsest operator for the direct solve; shared
+  // with refresh_numeric.
   finalize_values(comm);
 }
 
@@ -642,15 +613,6 @@ void DistAmg::finalize_values(par::Comm& comm) {
   coarse_ = std::make_unique<la::DenseLu>(coarse_a_);
   coarse_b_.resize(static_cast<std::size_t>(coarse_a_.rows()));
   coarse_x_.resize(static_cast<std::size_t>(coarse_a_.rows()));
-  if (opt_.smoother == Smoother::kChebyshev) {
-    for (Level& L : levels_) {
-      L.diag = L.a.diagonal();
-      const double rho =
-          estimate_rho_dist(comm, L.a, L.diag, opt_.cheby_power_its);
-      L.eig_min = opt_.cheby_lower * rho;
-      L.eig_max = opt_.cheby_upper * rho;
-    }
-  }
 }
 
 void DistAmg::refresh_numeric(par::Comm& comm, la::DistCsr a) {
@@ -712,43 +674,6 @@ void DistAmg::hybrid_gauss_seidel(par::Comm& comm, const Level& L,
     for (std::int64_t r = nrows - 1; r >= 0; --r) update(r);
 }
 
-void DistAmg::chebyshev_smooth(par::Comm& comm, const Level& L,
-                               std::span<const double> b,
-                               std::span<double> x) const {
-  // Chebyshev polynomial in D^{-1}A over [eig_min, eig_max]: the only
-  // communication is the ghost-exchange matvec, so the result has no
-  // rank-order dependence (unlike hybrid GS) and stays symmetric — safe
-  // for the SPD preconditioner MINRES requires.
-  const std::size_t n = static_cast<std::size_t>(L.a.owned_rows());
-  const double theta = 0.5 * (L.eig_max + L.eig_min);
-  const double delta = 0.5 * (L.eig_max - L.eig_min);
-  if (theta <= 0.0 || delta <= 0.0 || opt_.cheby_degree < 1) return;
-  L.ch_r.resize(n);
-  L.ch_d.resize(n);
-  L.ch_t.resize(n);
-  L.a.matvec(comm, x, L.ch_r);
-  for (std::size_t i = 0; i < n; ++i) L.ch_r[i] = b[i] - L.ch_r[i];
-  const double sigma = theta / delta;
-  double rho_prev = 1.0 / sigma;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = L.diag[i];
-    L.ch_d[i] = (d != 0.0 ? L.ch_r[i] / d : L.ch_r[i]) / theta;
-  }
-  for (int k = 1; k <= opt_.cheby_degree; ++k) {
-    for (std::size_t i = 0; i < n; ++i) x[i] += L.ch_d[i];
-    if (k == opt_.cheby_degree) break;
-    L.a.matvec(comm, L.ch_d, L.ch_t);
-    for (std::size_t i = 0; i < n; ++i) L.ch_r[i] -= L.ch_t[i];
-    const double rho = 1.0 / (2.0 * sigma - rho_prev);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = L.diag[i];
-      L.ch_d[i] = rho * rho_prev * L.ch_d[i] +
-                  2.0 * rho / delta * (d != 0.0 ? L.ch_r[i] / d : L.ch_r[i]);
-    }
-    rho_prev = rho;
-  }
-}
-
 void DistAmg::cycle(par::Comm& comm, std::size_t lvl,
                     std::span<const double> b, std::span<double> x) const {
   if (lvl == levels_.size()) {
@@ -765,13 +690,8 @@ void DistAmg::cycle(par::Comm& comm, std::size_t lvl,
     return;
   }
   const Level& L = levels_[lvl];
-  const auto smooth = [&](bool forward) {
-    if (opt_.smoother == Smoother::kChebyshev)
-      chebyshev_smooth(comm, L, b, x);
-    else
-      hybrid_gauss_seidel(comm, L, b, x, forward);
-  };
-  for (int s = 0; s < opt_.pre_smooth; ++s) smooth(/*forward=*/true);
+  for (int s = 0; s < kPreSmooth; ++s)
+    hybrid_gauss_seidel(comm, L, b, x, /*forward=*/true);
   // Residual, restriction, coarse correction.
   L.a.matvec(comm, x, L.res);
   for (std::size_t i = 0; i < L.res.size(); ++i) L.res[i] = b[i] - L.res[i];
@@ -781,7 +701,8 @@ void DistAmg::cycle(par::Comm& comm, std::size_t lvl,
   // Prolongate (reusing the residual buffer) and correct.
   L.p.matvec(comm, L.xc, L.res);
   for (std::size_t i = 0; i < L.res.size(); ++i) x[i] += L.res[i];
-  for (int s = 0; s < opt_.post_smooth; ++s) smooth(/*forward=*/false);
+  for (int s = 0; s < kPostSmooth; ++s)
+    hybrid_gauss_seidel(comm, L, b, x, /*forward=*/false);
 }
 
 void DistAmg::vcycle(par::Comm& comm, std::span<const double> b,
@@ -791,34 +712,6 @@ void DistAmg::vcycle(par::Comm& comm, std::span<const double> b,
   OBS_HIST_SPAN("amg.vcycle");
   obs::counter_add(obs::wellknown::amg_vcycles(), 1);
   cycle(comm, 0, b, x);
-}
-
-void DistAmg::solve(par::Comm& comm, std::span<const double> b,
-                    std::span<double> x, int cycles) const {
-  if (!opt_.track_convergence) {
-    for (int c = 0; c < cycles; ++c) vcycle(comm, b, x);
-    return;
-  }
-  const la::DistCsr& a = finest();
-  std::vector<double> res(static_cast<std::size_t>(a.owned_rows()));
-  const auto residual_norm = [&] {
-    a.matvec(comm, x, res);
-    double local = 0.0;
-    for (std::size_t i = 0; i < res.size(); ++i) {
-      const double r = b[i] - res[i];
-      local += r * r;
-    }
-    return std::sqrt(comm.allreduce_sum(local));
-  };
-  factors_.clear();
-  double prev = residual_norm();
-  for (int c = 0; c < cycles; ++c) {
-    vcycle(comm, b, x);
-    const double cur = residual_norm();
-    factors_.push_back(prev > 0.0 ? cur / prev : 0.0);
-    prev = cur;
-  }
-  if (comm.rank() == 0) obs::record_history("amg.solve.factors", factors_);
 }
 
 std::int64_t DistAmg::local_nnz() const {
@@ -831,12 +724,6 @@ double DistAmg::operator_complexity() const {
   double total = 0.0;
   for (const LevelStats& s : stats_) total += static_cast<double>(s.nnz);
   return total / static_cast<double>(stats_.front().nnz);
-}
-
-double DistAmg::grid_complexity() const {
-  double total = 0.0;
-  for (const LevelStats& s : stats_) total += static_cast<double>(s.n);
-  return total / static_cast<double>(stats_.front().n);
 }
 
 }  // namespace alps::amg

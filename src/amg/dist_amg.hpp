@@ -18,10 +18,9 @@
 //    values change (viscosity updates between Picard iterations and
 //    non-adapting timesteps), skipping the entire symbolic setup,
 //  - smoothing is hybrid Gauss-Seidel (Gauss-Seidel on the owned-column
-//    block, Jacobi on frozen ghosts) or a Chebyshev polynomial in
-//    D^{-1}A, whose only communication is the ghost-exchange matvec,
-//  - only the coarsest level (<= coarse_size unknowns) is replicated for
-//    the dense LU solve; its per-cycle gather is O(coarse_size).
+//    block, Jacobi on frozen ghosts),
+//  - only the coarsest level (<= kCoarseSize unknowns) is replicated for
+//    the dense LU solve; its per-cycle gather is O(kCoarseSize).
 
 #include <memory>
 #include <vector>
@@ -33,8 +32,9 @@ namespace alps::amg {
 
 class DistAmg {
  public:
-  /// Setup phase; collective. Reuses AmgOptions from the replicated Amg.
-  DistAmg(par::Comm& comm, la::DistCsr a, const AmgOptions& opt = {});
+  /// Setup phase; collective. Runs the replicated Amg's configuration
+  /// (the constants in amg/amg.hpp).
+  DistAmg(par::Comm& comm, la::DistCsr a);
 
   /// Pattern-preserving numeric rebuild: replace the finest operator with
   /// `a` (same sparsity structure as the setup matrix) and recompute the
@@ -47,16 +47,6 @@ class DistAmg {
   /// finest matrix). Collective.
   void vcycle(par::Comm& comm, std::span<const double> b,
               std::span<double> x) const;
-
-  /// Run `cycles` V-cycles, keeping x as the running iterate. Collective.
-  /// With opt.track_convergence the per-cycle global residual contraction
-  /// factors are recorded (one extra matvec + allreduce per cycle).
-  void solve(par::Comm& comm, std::span<const double> b, std::span<double> x,
-             int cycles) const;
-
-  /// ||r_k|| / ||r_{k-1}|| per V-cycle of the last tracked solve();
-  /// empty unless opt.track_convergence was set. Identical on all ranks.
-  const std::vector<double>& convergence_factors() const { return factors_; }
 
   int num_levels() const { return static_cast<int>(stats_.size()); }
   const std::vector<LevelStats>& level_stats() const { return stats_; }
@@ -72,7 +62,6 @@ class DistAmg {
   /// plus the replicated coarsest level).
   std::int64_t local_nnz() const;
   double operator_complexity() const;
-  double grid_complexity() const;
   const la::DistCsr& finest() const { return levels_.empty() ? coarse_dist_ : levels_.front().a; }
 
   /// This rank's heap bytes split by what the hierarchy stores them for
@@ -82,7 +71,7 @@ class DistAmg {
     std::uint64_t interpolation = 0;  // per-level P
     std::uint64_t rap = 0;            // cached RAP scatter tables
     std::uint64_t coarse = 0;         // replicated coarsest + LU factors
-    std::uint64_t scratch = 0;        // cycle workspaces, smoother data
+    std::uint64_t scratch = 0;        // cycle and RAP workspaces
     std::uint64_t total() const {
       return operators + interpolation + rap + coarse + scratch;
     }
@@ -132,12 +121,8 @@ class DistAmg {
     la::DistCsr a;
     la::DistCsr p;  // prolongation to this level from the next-coarser one
     RapPlan rap;    // produces the next-coarser operator
-    // Chebyshev smoother data (filled only with Smoother::kChebyshev).
-    std::vector<double> diag;
-    double eig_min = 0.0, eig_max = 0.0;
     // Scratch (mutable via the enclosing const methods).
     mutable std::vector<double> res, bc, xc, ghost;
-    mutable std::vector<double> ch_r, ch_d, ch_t;
   };
 
   /// Symbolic + first numeric pass: builds `plan` and the coarse operator
@@ -149,8 +134,7 @@ class DistAmg {
   /// values of `a` through `plan`. Collective.
   void rap_numeric(par::Comm& comm, const la::DistCsr& a, RapPlan& plan,
                    la::DistCsr& ac) const;
-  /// Replicate the coarsest operator, refactor the dense LU, and (for the
-  /// Chebyshev smoother) re-estimate the per-level spectral radii.
+  /// Replicate the coarsest operator and refactor the dense LU.
   void finalize_values(par::Comm& comm);
 
   void cycle(par::Comm& comm, std::size_t lvl, std::span<const double> b,
@@ -158,10 +142,7 @@ class DistAmg {
   void hybrid_gauss_seidel(par::Comm& comm, const Level& L,
                            std::span<const double> b, std::span<double> x,
                            bool forward) const;
-  void chebyshev_smooth(par::Comm& comm, const Level& L,
-                        std::span<const double> b, std::span<double> x) const;
 
-  AmgOptions opt_;
   std::vector<Level> levels_;
   la::DistCsr coarse_dist_;           // distributed coarsest operator
   la::Csr coarse_a_;                  // replicated copy for DenseLu
@@ -169,7 +150,6 @@ class DistAmg {
   std::vector<LevelStats> stats_;     // global n / nnz per level
   std::vector<std::int64_t> local_nnz_per_level_;
   mutable std::vector<double> coarse_b_, coarse_x_;  // replicated scratch
-  mutable std::vector<double> factors_;              // last tracked solve()
 };
 
 inline DistAmg::MemoryBytes DistAmg::memory_bytes() const {
@@ -191,16 +171,13 @@ inline DistAmg::MemoryBytes DistAmg::memory_bytes() const {
              vec_bytes(r.rc_ccol) + vec_bytes(r.rc_dest) +
              vec_bytes(r.recv_pos);
     for (const auto& v : r.recv_pos) m.rap += vec_bytes(v);
-    m.scratch += vec_bytes(r.ap_val) + vec_bytes(r.acc) + vec_bytes(L.diag) +
-                 vec_bytes(L.res) + vec_bytes(L.bc) + vec_bytes(L.xc) +
-                 vec_bytes(L.ghost) + vec_bytes(L.ch_r) + vec_bytes(L.ch_d) +
-                 vec_bytes(L.ch_t);
+    m.scratch += vec_bytes(r.ap_val) + vec_bytes(r.acc) + vec_bytes(L.res) +
+                 vec_bytes(L.bc) + vec_bytes(L.xc) + vec_bytes(L.ghost);
   }
   m.operators += coarse_dist_.memory_bytes();
   m.coarse += coarse_a_.memory_bytes();
   if (coarse_) m.coarse += coarse_->memory_bytes();
-  m.scratch += vec_bytes(coarse_b_) + vec_bytes(coarse_x_) +
-               vec_bytes(factors_);
+  m.scratch += vec_bytes(coarse_b_) + vec_bytes(coarse_x_);
   return m;
 }
 

@@ -48,15 +48,6 @@ class HierarchyCache {
   bool valid() const { return built_epoch_ == epoch_ && amg[0] != nullptr; }
   void mark_built() { built_epoch_ = epoch_; }
 
-  /// Heap bytes the cache keeps alive between solves: the retained
-  /// hierarchies plus the viscosity snapshot (the "amg.cache" scope).
-  std::uint64_t retained_bytes() const {
-    std::uint64_t b = obs::vec_bytes(eta_snapshot);
-    for (const auto& a : amg)
-      if (a) b += a->memory_bytes().total();
-    return b;
-  }
-
   /// One hierarchy per velocity component (the three variable-viscosity
   /// Poisson blocks of the Stokes preconditioner).
   std::array<std::unique_ptr<DistAmg>, 3> amg;

@@ -1,8 +1,5 @@
 #include "amg/smoother.hpp"
 
-#include <cmath>
-#include <vector>
-
 namespace alps::amg {
 
 void gauss_seidel(const la::Csr& a, std::span<const double> b,
@@ -28,73 +25,6 @@ void gauss_seidel(const la::Csr& a, std::span<const double> b,
     for (std::int64_t r = 0; r < n; ++r) update(r);
   else
     for (std::int64_t r = n - 1; r >= 0; --r) update(r);
-}
-
-void jacobi(const la::Csr& a, std::span<const double> diag,
-            std::span<const double> b, std::span<double> x, double weight) {
-  const std::int64_t n = a.rows();
-  std::vector<double> ax(static_cast<std::size_t>(n));
-  a.matvec(x, ax);
-  for (std::int64_t r = 0; r < n; ++r) {
-    const double d = diag[static_cast<std::size_t>(r)];
-    if (d != 0.0)
-      x[static_cast<std::size_t>(r)] +=
-          weight * (b[static_cast<std::size_t>(r)] - ax[static_cast<std::size_t>(r)]) / d;
-  }
-}
-
-double estimate_rho_dinv_a(const la::Csr& a, std::span<const double> diag,
-                           int iterations) {
-  const std::size_t n = static_cast<std::size_t>(a.rows());
-  if (n == 0) return 1.0;
-  // Deterministic start with no special alignment to smooth modes.
-  std::vector<double> v(n), w(n);
-  for (std::size_t i = 0; i < n; ++i)
-    v[i] = 1.0 + 0.5 * std::sin(static_cast<double>(i));
-  double rho = 1.0;
-  for (int it = 0; it < iterations; ++it) {
-    a.matvec(v, w);
-    double nrm2 = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = diag[i];
-      w[i] = d != 0.0 ? w[i] / d : w[i];
-      nrm2 += w[i] * w[i];
-    }
-    const double nrm = std::sqrt(nrm2);
-    if (nrm == 0.0) return 1.0;
-    rho = nrm;
-    for (std::size_t i = 0; i < n; ++i) v[i] = w[i] / nrm;
-  }
-  return rho;
-}
-
-void chebyshev(const la::Csr& a, std::span<const double> diag,
-               std::span<const double> b, std::span<double> x,
-               double eig_min, double eig_max, int degree, ChebyWork& w) {
-  const std::size_t n = static_cast<std::size_t>(a.rows());
-  const double theta = 0.5 * (eig_max + eig_min);
-  const double delta = 0.5 * (eig_max - eig_min);
-  if (n == 0 || theta <= 0.0 || delta <= 0.0 || degree < 1) return;
-  w.r.resize(n);
-  w.d.resize(n);
-  w.t.resize(n);
-  a.matvec(x, w.r);
-  for (std::size_t i = 0; i < n; ++i) w.r[i] = b[i] - w.r[i];
-  const double sigma = theta / delta;
-  double rho_prev = 1.0 / sigma;
-  for (std::size_t i = 0; i < n; ++i)
-    w.d[i] = (diag[i] != 0.0 ? w.r[i] / diag[i] : w.r[i]) / theta;
-  for (int k = 1; k <= degree; ++k) {
-    for (std::size_t i = 0; i < n; ++i) x[i] += w.d[i];
-    if (k == degree) break;
-    a.matvec(w.d, w.t);
-    for (std::size_t i = 0; i < n; ++i) w.r[i] -= w.t[i];
-    const double rho = 1.0 / (2.0 * sigma - rho_prev);
-    for (std::size_t i = 0; i < n; ++i)
-      w.d[i] = rho * rho_prev * w.d[i] +
-               2.0 * rho / delta * (diag[i] != 0.0 ? w.r[i] / diag[i] : w.r[i]);
-    rho_prev = rho;
-  }
 }
 
 }  // namespace alps::amg

@@ -12,26 +12,4 @@ namespace alps::amg {
 void gauss_seidel(const la::Csr& a, std::span<const double> b,
                   std::span<double> x, bool forward);
 
-/// One weighted-Jacobi sweep: x += w D^{-1} (b - A x).
-void jacobi(const la::Csr& a, std::span<const double> diag,
-            std::span<const double> b, std::span<double> x, double weight);
-
-/// Spectral-radius estimate of D^{-1}A by power iteration with a
-/// deterministic start vector. `diag` must be the diagonal of A.
-double estimate_rho_dinv_a(const la::Csr& a, std::span<const double> diag,
-                           int iterations);
-
-/// Scratch for the Chebyshev smoother (reused across applications).
-struct ChebyWork {
-  std::vector<double> r, d, t;
-};
-
-/// One Chebyshev smoother application of the given degree on A x = b,
-/// targeting the interval [eig_min, eig_max] of D^{-1}A (three-term
-/// recurrence; `degree` matvecs). Symmetric in the D^{1/2} inner product,
-/// so it preserves the SPD preconditioner property MINRES requires.
-void chebyshev(const la::Csr& a, std::span<const double> diag,
-               std::span<const double> b, std::span<double> x,
-               double eig_min, double eig_max, int degree, ChebyWork& w);
-
 }  // namespace alps::amg

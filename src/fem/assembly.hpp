@@ -55,11 +55,12 @@ class ElementOperator {
     return std::span<const double>(mats_).subspan(e * b, b);
   }
 
-  /// Mark value (dof, comp) as Dirichlet-constrained.
-  void set_dirichlet(std::int64_t dof, int comp) {
+  /// Mark value (dof, comp) as Dirichlet-constrained, or free it again
+  /// with fixed = false.
+  void set_dirichlet(std::int64_t dof, int comp, bool fixed = true) {
     plan_dirty_ = true;
     dirichlet_[static_cast<std::size_t>(dof) * ncomp_ +
-               static_cast<std::size_t>(comp)] = 1;
+               static_cast<std::size_t>(comp)] = fixed ? 1 : 0;
   }
   bool is_dirichlet(std::int64_t dof, int comp) const {
     return dirichlet_[static_cast<std::size_t>(dof) * ncomp_ +

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace alps::forest {
 
@@ -226,11 +227,14 @@ Connectivity Connectivity::cubed_sphere_shell() {
   // 6 caps x (2x2) trees, radially one tree deep. Surface lattice points
   // have one coordinate = +-2 and the others in {-2, 0, 2}; the inner
   // shell corner is the point itself, the outer shell corner is doubled,
-  // so corners shared between caps coincide exactly.
+  // so corners shared between caps coincide exactly. Tree axes (x, y)
+  // run along (b, cax) on the + caps and (cax, b) on the - caps, so that
+  // x cross y points radially outward and every tree is right-handed.
   std::vector<TreeCorners> corners;
   for (int axis = 0; axis < 3; ++axis)
     for (int sign = -1; sign <= 1; sign += 2) {
-      const int b = (axis + 1) % 3, cax = (axis + 2) % 3;
+      int b = (axis + 1) % 3, cax = (axis + 2) % 3;
+      if (sign < 0) std::swap(b, cax);
       for (int j = 0; j < 2; ++j)
         for (int i = 0; i < 2; ++i) {
           TreeCorners tc{};

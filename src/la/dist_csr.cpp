@@ -155,12 +155,6 @@ void DistCsr::matvec_transpose(par::Comm& comm, std::span<const double> x,
   plan_.reverse_add<double>(comm, ghost_acc_, y);
 }
 
-std::vector<double> DistCsr::diagonal() const {
-  if (row_lo_ != col_lo_ || row_hi_ != col_hi_)
-    throw std::logic_error("DistCsr::diagonal: partitions must coincide");
-  return diag_.diagonal();
-}
-
 void DistCsr::fetch_rows(par::Comm& comm,
                          std::span<const std::int64_t> gids,
                          std::vector<std::int64_t>& rowptr,

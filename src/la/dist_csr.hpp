@@ -197,10 +197,6 @@ class DistCsr {
   void matvec_transpose(par::Comm& comm, std::span<const double> x,
                         std::span<double> y) const;
 
-  /// Owned diagonal entries (0 where structurally absent). Requires the
-  /// row and column partitions to coincide.
-  std::vector<double> diagonal() const;
-
   /// Fetch complete remote rows (columns as global ids) for the given
   /// remotely-owned row gids, in order. Used by the distributed Galerkin
   /// product to pull the interpolation rows of ghost points. Collective.

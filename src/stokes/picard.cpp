@@ -101,12 +101,6 @@ PicardResult solve_nonlinear_stokes(par::Comm& comm, const Mesh& m,
         comm, m, conn, temperature, opt.rayleigh, opt.buoyancy_dir,
         opt.stokes);
     result.solves.push_back(solver.solve(comm, rhs, x));
-    const StokesTimings& t = solver.timings();
-    result.timings.assemble_seconds += t.assemble_seconds;
-    result.timings.amg_setup_seconds += t.amg_setup_seconds;
-    result.timings.amg_apply_seconds += t.amg_apply_seconds;
-    result.timings.minres_seconds += t.minres_seconds;
-    result.iteration_timings.push_back(t);
     result.iterations = it + 1;
 
     // Relative change of velocity (owned entries).

@@ -26,10 +26,6 @@ struct PicardResult {
   int iterations = 0;
   double velocity_change = 0.0;
   std::vector<la::SolveResult> solves;
-  StokesTimings timings;  // accumulated over all iterations
-  /// Per-iteration breakdown: with hierarchy reuse, amg_setup_seconds of
-  /// iterations >= 2 collapses to the numeric Galerkin refresh.
-  std::vector<StokesTimings> iteration_timings;
 };
 
 /// Second invariant of the strain rate at each quadrature point (ne * 8)

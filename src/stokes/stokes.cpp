@@ -1,6 +1,5 @@
 #include "stokes/stokes.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <optional>
 
@@ -9,35 +8,23 @@
 
 namespace alps::stokes {
 
-namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
 StokesSolver::StokesSolver(par::Comm& comm, const Mesh& m,
                            const forest::Connectivity& conn,
                            std::span<const double> eta_quad,
                            const StokesOptions& opt,
                            amg::HierarchyCache* cache)
     : mesh_(&m), opt_(opt), cache_(cache != nullptr ? cache : &own_cache_) {
-  // The StokesTimings bookkeeping stays (Picard accumulates it); the obs
-  // phase spans are the cross-rank source for the breakdown tables. An
-  // optional span lets assemble and amg.setup own disjoint windows
-  // without nesting (nesting would double-count the phase seconds).
+  // An optional span lets assemble and amg.setup own disjoint phase
+  // windows without nesting (nesting would double-count the phase
+  // seconds).
   std::optional<obs::Span> phase_span;
   phase_span.emplace("stokes.assemble", obs::Cat::kPhase, true);
   const std::size_t ne = m.elements.size();
-  double t0 = now_seconds();
 
   op_ = std::make_unique<fem::StokesOperator>(m, opt_.bc);
-  for (int c = 0; c < 3; ++c)
-    poisson_[static_cast<std::size_t>(c)] =
-        std::make_unique<ElementOperator>(&m, 1);
+  // The variable-viscosity Poisson operator shared by the three velocity
+  // hierarchies; only its Dirichlet mask differs between components.
+  fem::ElementOperator poisson(&m, 1);
   schur_diag_.assign(static_cast<std::size_t>(m.n_local), 0.0);
 
   for (std::size_t e = 0; e < ne; ++e) {
@@ -55,14 +42,11 @@ StokesSolver::StokesSolver(par::Comm& comm, const Mesh& m,
     const fem::Mat8 kpois = fem::stiffness(mq, eq);
     const std::array<double, 8> lm = fem::lumped_mass(mq);
 
-    for (int c = 0; c < 3; ++c) {
-      std::span<double> pm =
-          poisson_[static_cast<std::size_t>(c)]->element_matrix(e);
-      for (int i = 0; i < 8; ++i)
-        for (int j = 0; j < 8; ++j)
-          pm[static_cast<std::size_t>(i) * 8 + static_cast<std::size_t>(j)] =
-              kpois[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
-    }
+    std::span<double> pm = poisson.element_matrix(e);
+    for (int i = 0; i < 8; ++i)
+      for (int j = 0; j < 8; ++j)
+        pm[static_cast<std::size_t>(i) * 8 + static_cast<std::size_t>(j)] =
+            kpois[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
 
     // Schur diagonal: inverse-viscosity-weighted lumped mass.
     for (int i = 0; i < 8; ++i) {
@@ -75,18 +59,21 @@ StokesSolver::StokesSolver(par::Comm& comm, const Mesh& m,
   }
   m.accumulate(comm, schur_diag_);
   m.exchange(comm, schur_diag_);
-
-  for (int c = 0; c < 3; ++c)
-    for (std::int64_t d = 0; d < m.n_local; ++d)
-      if (op_->is_dirichlet(d, c))
-        poisson_[static_cast<std::size_t>(c)]->set_dirichlet(d, 0);
-  timings_.assemble_seconds = now_seconds() - t0;
   phase_span.reset();
 
   phase_span.emplace("amg.setup", obs::Cat::kPhase, true);
-  t0 = now_seconds();
+  // Component c's Poisson matrix: the shared element matrices with c's
+  // Dirichlet rows (the saddle operator's velocity_dirichlet set).
+  const auto assemble_component = [&](int c) {
+    for (std::int64_t d = 0; d < m.n_local; ++d)
+      poisson.set_dirichlet(
+          d, 0,
+          fem::velocity_dirichlet(m.dof_boundary[static_cast<std::size_t>(d)],
+                                  c, opt_.bc));
+    return poisson.assemble_dist(comm);
+  };
   amg::HierarchyCache& hc = *cache_;
-  const bool reusable = opt_.reuse.enable && hc.valid();
+  const bool reusable = hc.valid();
   // Viscosity-drift full skip: when the quadrature viscosity has moved
   // less than the tolerance (relative l2, global) since the hierarchies
   // were last built, keep them untouched. The allreduce makes the
@@ -108,9 +95,8 @@ StokesSolver::StokesSolver(par::Comm& comm, const Mesh& m,
     for (int c = 0; c < 3; ++c) {
       // Owned-row distributed assembly + distributed hierarchy: per-rank
       // setup and apply cost is O(N_local), the paper's scalability claim.
-      hc.amg[static_cast<std::size_t>(c)] = std::make_unique<amg::DistAmg>(
-          comm, poisson_[static_cast<std::size_t>(c)]->assemble_dist(comm),
-          opt_.amg);
+      hc.amg[static_cast<std::size_t>(c)] =
+          std::make_unique<amg::DistAmg>(comm, assemble_component(c));
     }
     hc.mark_built();
     ++hc.stats.full_setups;
@@ -121,7 +107,7 @@ StokesSolver::StokesSolver(par::Comm& comm, const Mesh& m,
     // moved with the viscosity.
     for (int c = 0; c < 3; ++c)
       hc.amg[static_cast<std::size_t>(c)]->refresh_numeric(
-          comm, poisson_[static_cast<std::size_t>(c)]->assemble_dist(comm));
+          comm, assemble_component(c));
     ++hc.stats.numeric_refreshes;
     obs::counter_add(obs::wellknown::amg_setup_numeric(), 1);
   } else {
@@ -131,14 +117,12 @@ StokesSolver::StokesSolver(par::Comm& comm, const Mesh& m,
   if (!skip) hc.eta_snapshot.assign(eta_quad.begin(), eta_quad.end());
   comp_b_.resize(static_cast<std::size_t>(m.n_owned));
   comp_x_.resize(static_cast<std::size_t>(m.n_owned));
-  timings_.amg_setup_seconds = now_seconds() - t0;
 }
 
 void StokesSolver::apply_preconditioner(par::Comm& comm,
                                         std::span<const double> x,
                                         std::span<double> y) {
   OBS_PHASE_SPAN("amg.apply");
-  const double t0 = now_seconds();
   const Mesh& m = *mesh_;
   const std::size_t no = static_cast<std::size_t>(m.n_owned);
   const std::size_t nl = static_cast<std::size_t>(m.n_local);
@@ -157,14 +141,12 @@ void StokesSolver::apply_preconditioner(par::Comm& comm,
   for (std::size_t i = 0; i < nl; ++i)
     y[4 * i + 3] = x[4 * i + 3] / schur_diag_[i];
   m.exchange(comm, y, 4);
-  timings_.amg_apply_seconds += now_seconds() - t0;
 }
 
 la::SolveResult StokesSolver::solve(par::Comm& comm,
                                     std::span<const double> rhs,
                                     std::span<double> x) {
   OBS_PHASE_SPAN("stokes.minres");
-  const double t0 = now_seconds();
   la::LinOp aop = op_->as_linop(comm);
   la::LinOp pre = preconditioner(comm);
   // Keep a residual history by default so the flight recorder always has
@@ -176,18 +158,14 @@ la::SolveResult StokesSolver::solve(par::Comm& comm,
       la::minres(aop, rhs, x, pre, op_->as_multi_dot(comm), kopt);
   if (comm.rank() == 0)
     obs::record_history("stokes.minres.relres", r.residual_history);
-  timings_.minres_seconds += now_seconds() - t0;
 
   // Remove the constant-pressure mode (free-floating for enclosed flow).
   const Mesh& m = *mesh_;
-  double psum = 0.0, n = 0.0;
-  for (std::int64_t i = 0; i < m.n_owned; ++i) {
+  double psum = 0.0;
+  for (std::int64_t i = 0; i < m.n_owned; ++i)
     psum += x[static_cast<std::size_t>(4 * i + 3)];
-    n += 1.0;
-  }
-  psum = comm.allreduce_sum(psum);
-  n = comm.allreduce_sum(n);
-  const double mean = psum / n;
+  const double mean =
+      comm.allreduce_sum(psum) / static_cast<double>(m.n_global);
   for (std::int64_t i = 0; i < m.n_local; ++i)
     x[static_cast<std::size_t>(4 * i + 3)] -= mean;
   return r;

@@ -31,7 +31,6 @@
 
 namespace alps::stokes {
 
-using fem::ElementOperator;
 using fem::VelocityBc;
 using mesh::Mesh;
 
@@ -43,33 +42,25 @@ using mesh::Mesh;
 /// preconditioner then lags the viscosity, which is safe: MINRES always
 /// iterates with the freshly assembled operator.
 struct AmgReuseOptions {
-  bool enable = true;
   double viscosity_drift_tol = 0.0;  // 0 = always refresh numerically
 };
 
 struct StokesOptions {
   VelocityBc bc = VelocityBc::kFreeSlip;
   la::KrylovOptions krylov{200, 1e-6};
-  amg::AmgOptions amg{};
   AmgReuseOptions reuse{};
-};
-
-struct StokesTimings {
-  double assemble_seconds = 0.0;
-  double amg_setup_seconds = 0.0;
-  double amg_apply_seconds = 0.0;
-  double minres_seconds = 0.0;
 };
 
 class StokesSolver {
  public:
   /// Viscosity is supplied per element per quadrature point (ne * 8).
   /// Setup fills the matrix-free saddle operator's quadrature data, the
-  /// three Poisson element matrices and the inverse-viscosity Schur
-  /// diagonal in one element loop, then builds the Poisson AMG
-  /// hierarchies. When `cache` is non-null and valid for the current mesh
-  /// epoch, the hierarchies in it are reused per opt.reuse instead of
-  /// being rebuilt. Collective.
+  /// variable-viscosity Poisson element matrices and the inverse-viscosity
+  /// Schur diagonal in one element loop, then builds one Poisson AMG
+  /// hierarchy per velocity component from that one operator, each with
+  /// the component's Dirichlet rows. When `cache` is non-null and valid
+  /// for the current mesh epoch, the hierarchies in it are reused per
+  /// opt.reuse instead of being rebuilt. Collective.
   StokesSolver(par::Comm& comm, const Mesh& m,
                const forest::Connectivity& conn,
                std::span<const double> eta_quad, const StokesOptions& opt,
@@ -88,7 +79,6 @@ class StokesSolver {
       apply_preconditioner(comm, in, out);
     };
   }
-  const StokesTimings& timings() const { return timings_; }
   const amg::DistAmg& velocity_amg(int comp) const {
     return *cache_->amg[static_cast<std::size_t>(comp)];
   }
@@ -114,12 +104,10 @@ class StokesSolver {
   const Mesh* mesh_;
   StokesOptions opt_;
   std::unique_ptr<fem::StokesOperator> op_;      // matrix-free saddle operator
-  std::array<std::unique_ptr<ElementOperator>, 3> poisson_;
   amg::HierarchyCache own_cache_;   // used when no external cache is given
   amg::HierarchyCache* cache_;      // holds the three velocity hierarchies
   std::vector<double> schur_diag_;               // n_local, 1/eta-weighted
   std::vector<double> comp_b_, comp_x_;          // owned-slice workspaces
-  StokesTimings timings_;
 };
 
 }  // namespace alps::stokes

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <random>
 
 #include "forest/forest.hpp"
@@ -84,6 +86,50 @@ TEST(Connectivity, CubedSphereShellHas24Trees) {
       (c.face(t, f).nbr_tree < 0 ? boundary : glued)++;
   EXPECT_EQ(boundary, 48);  // 24 trees x 2 radial faces
   EXPECT_EQ(glued, 96);
+}
+
+TEST(Connectivity, ShellTreesAreRightHanded) {
+  // det J > 0 at the 2x2x2 Gauss points of every element of a level-1
+  // uniform shell: the trilinear map of each element's corners (placed by
+  // map_point) preserves orientation, as fem::map_element requires.
+  const Connectivity c = Connectivity::cubed_sphere_shell();
+  const coord_t h = octant_len(1);
+  const double g[2] = {0.5 - 0.5 / std::sqrt(3.0), 0.5 + 0.5 / std::sqrt(3.0)};
+  int positive = 0;
+  for (std::int32_t t = 0; t < c.num_trees(); ++t)
+    for (int child = 0; child < 8; ++child) {
+      std::array<std::array<double, 3>, 8> xc;
+      for (int k = 0; k < 8; ++k) {
+        const auto at = [&](int bit) {
+          return static_cast<coord_t>(((child >> bit) & 1) +
+                                      ((k >> bit) & 1)) *
+                 h;
+        };
+        xc[static_cast<std::size_t>(k)] = c.map_point(t, at(0), at(1), at(2));
+      }
+      for (int q = 0; q < 8; ++q) {
+        const double r[3] = {g[q & 1], g[(q >> 1) & 1], g[(q >> 2) & 1]};
+        double j[3][3] = {};  // j[d][e] = d x_d / d r_e
+        for (int k = 0; k < 8; ++k)
+          for (int e = 0; e < 3; ++e) {
+            double dn = 1.0;
+            for (int a = 0; a < 3; ++a) {
+              const bool hi = ((k >> a) & 1) != 0;
+              dn *= a == e ? (hi ? 1.0 : -1.0) : (hi ? r[a] : 1.0 - r[a]);
+            }
+            for (int d = 0; d < 3; ++d)
+              j[d][e] += xc[static_cast<std::size_t>(k)]
+                           [static_cast<std::size_t>(d)] * dn;
+          }
+        const double det = j[0][0] * (j[1][1] * j[2][2] - j[1][2] * j[2][1]) -
+                           j[0][1] * (j[1][0] * j[2][2] - j[1][2] * j[2][0]) +
+                           j[0][2] * (j[1][0] * j[2][1] - j[1][1] * j[2][0]);
+        EXPECT_GT(det, 0.0) << "tree " << t << ", child " << child
+                            << ", point " << q;
+        positive += det > 0.0;
+      }
+    }
+  EXPECT_EQ(positive, 24 * 8 * 8);
 }
 
 TEST(Connectivity, CubedSphereTransformsRoundTrip) {

@@ -1,8 +1,8 @@
 // Per-step physics diagnostics (src/rhea/diagnostics.cpp): exact Gauss
 // integrals on adapted meshes with hanging nodes, bit identity of the
-// energy assembly's quadrature weights and of the two entry points on
-// adapted non-affine shell caps, and agreement of the driver's telemetry with a
-// standalone evaluation. Every test runs at P = 1, 2 and 4.
+// energy assembly's quadrature weights and of the two entry points on an
+// adapted cubed-sphere shell, and agreement of rhea::Simulation's
+// telemetry with a standalone evaluation. Every test runs at P = 1, 2 and 4.
 
 #include <gtest/gtest.h>
 
@@ -33,7 +33,6 @@ using mesh::Mesh;
 using par::Comm;
 using rhea::PhysicsDiagnostics;
 using test::adapted_forest;
-using test::positive_shell_caps;
 
 constexpr int kRankCounts[] = {1, 2, 4};
 
@@ -113,7 +112,8 @@ TEST(Diagnostics, WeightsAndEntryPointsAreBitIdentical) {
     alps::par::run(p, [](Comm& c) {
       SCOPED_TRACE("P = " + std::to_string(c.size()));
       const Forest f =
-          adapted_forest(c, positive_shell_caps(), 1, {3.0, 1.0, 1.0}, 1.0);
+          adapted_forest(c, Connectivity::cubed_sphere_shell(), 1,
+                         {3.0, 1.0, 1.0}, 1.0);
       const Mesh m = mesh::extract_mesh(c, f);
       const Connectivity& conn = f.connectivity();
       std::vector<double> sol(static_cast<std::size_t>(m.n_local) * 4, 0.0);

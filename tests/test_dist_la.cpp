@@ -246,7 +246,7 @@ TEST(DistAmg, VcycleContractsErrorAcrossRanks) {
       if (la::owner_of(off, t.row) == c.rank()) mine.push_back(t);
     DistCsr a = DistCsr::from_triplets(c, off, off, std::move(mine));
     const std::int64_t nown = a.owned_rows();
-    amg::DistAmg amg(c, std::move(a), {});
+    amg::DistAmg amg(c, std::move(a));
     EXPECT_GE(amg.num_levels(), 3);
 
     const DistCsr& fine = amg.finest();
@@ -267,7 +267,7 @@ TEST(DistAmg, VcycleContractsErrorAcrossRanks) {
 
 // AMG-preconditioned CG iteration count for the replicated hierarchy.
 int serial_pcg_iterations(const Csr& a) {
-  amg::Amg amg(a, {});
+  amg::Amg amg(a);
   la::LinOp op = [&a](std::span<const double> x, std::span<double> y) {
     a.matvec(x, y);
   };
@@ -301,7 +301,7 @@ TEST(DistAmg, PcgIterationsMatchReplicatedHierarchyWithinTwo) {
         if (la::owner_of(off, t.row) == c.rank()) mine.push_back(t);
       DistCsr a = DistCsr::from_triplets(c, off, off, std::move(mine));
       const std::int64_t nown = a.owned_rows();
-      amg::DistAmg amg(c, std::move(a), {});
+      amg::DistAmg amg(c, std::move(a));
       const DistCsr& fine = amg.finest();
       la::LinOp op = [&c, &fine](std::span<const double> x,
                                  std::span<double> y) {
@@ -342,12 +342,12 @@ TEST(DistAmg, HandlesStrongCoefficientJumpsAcrossRanks) {
       if (la::owner_of(off, t.row) == c.rank()) mine.push_back(t);
     DistCsr a = DistCsr::from_triplets(c, off, off, std::move(mine));
     const std::int64_t nown = a.owned_rows();
-    amg::DistAmg amg(c, std::move(a), {});
+    amg::DistAmg amg(c, std::move(a));
     const DistCsr& fine = amg.finest();
     std::vector<double> b(static_cast<std::size_t>(nown), 1.0);
     std::vector<double> x(b.size(), 0.0);
     const double r0 = dist_residual_norm(c, fine, b, x);
-    amg.solve(c, b, x, 12);
+    for (int k = 0; k < 12; ++k) amg.vcycle(c, b, x);
     EXPECT_LT(dist_residual_norm(c, fine, b, x), 1e-6 * r0);
   });
 }

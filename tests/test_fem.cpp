@@ -255,7 +255,7 @@ TEST_P(FemRanks, AmgPreconditionedCgOnAdaptedVariableViscosity) {
         [](const std::array<double, 3>& p) { return p[2] > 0.5 ? 1e4 : 1.0; },
         0b111111);
     la::Csr global = op.assemble_global(c);
-    amg::Amg amg(global, {});
+    amg::Amg amg(global);
     la::LinOp pre = [&amg, &m](std::span<const double> x, std::span<double> y) {
       // Scatter to global, V-cycle, gather back: the serial-AMG stand-in.
       std::vector<double> xg(static_cast<std::size_t>(m.n_global), 0.0);

@@ -1,6 +1,5 @@
 // Adapted test forests shared by the fem, Stokes and diagnostics tests:
-// point-refined forests with hanging nodes that cross rank boundaries, and
-// the non-affine right-handed caps of the cubed-sphere shell.
+// point-refined forests with hanging nodes that cross rank boundaries.
 
 #pragma once
 
@@ -47,33 +46,6 @@ inline forest::Forest adapted_forest(par::Comm& c, forest::Connectivity conn,
   f.tree().update_ranges(c);
   f.partition(c);
   return f;
-}
-
-/// The +x, +y and +z caps of Connectivity::cubed_sphere_shell(): its 12
-/// trees with the same corners. Their trilinear maps are non-affine and
-/// their frames are rotated against each other. The other three caps are
-/// left-handed under the trilinear map (negative Jacobian), which
-/// fem::map_element does not accept.
-inline forest::Connectivity positive_shell_caps() {
-  std::vector<forest::TreeCorners> corners;
-  for (int axis = 0; axis < 3; ++axis) {
-    const int b = (axis + 1) % 3, cax = (axis + 2) % 3;
-    for (int j = 0; j < 2; ++j)
-      for (int i = 0; i < 2; ++i) {
-        forest::TreeCorners tc{};
-        for (int k = 0; k < 8; ++k) {
-          std::array<int, 3> q{};
-          q[static_cast<std::size_t>(axis)] = 2;
-          q[static_cast<std::size_t>(b)] = -2 + 2 * i + ((k & 1) ? 2 : 0);
-          q[static_cast<std::size_t>(cax)] = -2 + 2 * j + ((k & 2) ? 2 : 0);
-          const int scale = (k & 4) ? 2 : 1;
-          tc[static_cast<std::size_t>(k)] = {scale * q[0], scale * q[1],
-                                             scale * q[2]};
-        }
-        corners.push_back(tc);
-      }
-  }
-  return forest::Connectivity::from_corners(corners);
 }
 
 }  // namespace alps::test

@@ -30,16 +30,17 @@ std::vector<double> constant_eta(const Mesh& m, double eta) {
 }
 
 // Viscosity varying by about three orders of magnitude across the domain.
+double eta_at(const std::array<double, 3>& x) {
+  return std::exp(3.0 * std::sin(2.0 * x[0] + x[1]) * std::cos(1.5 * x[2]));
+}
+
+// eta_at at every quadrature point (ne * 8).
 std::vector<double> varying_eta(const Mesh& m, const Connectivity& conn) {
   std::vector<double> eta(m.elements.size() * 8);
   for (std::size_t e = 0; e < m.elements.size(); ++e) {
     const fem::MappedQuad mq =
         fem::map_element(fem::element_geometry(m, conn, e));
-    for (std::size_t q = 0; q < 8; ++q) {
-      const auto& x = mq.xq[q];
-      eta[8 * e + q] =
-          std::exp(3.0 * std::sin(2.0 * x[0] + x[1]) * std::cos(1.5 * x[2]));
-    }
+    for (std::size_t q = 0; q < 8; ++q) eta[8 * e + q] = eta_at(mq.xq[q]);
   }
   return eta;
 }
@@ -263,8 +264,6 @@ TEST(Picard, HierarchyCacheReusesSetupAcrossIterationsAndSolves) {
     EXPECT_EQ(cache.stats.numeric_refreshes,
               static_cast<std::int64_t>(r.iterations) - 1);
     EXPECT_EQ(cache.stats.skipped, 0);
-    ASSERT_EQ(r.iteration_timings.size(),
-              static_cast<std::size_t>(r.iterations));
 
     // A second solve on the same mesh reuses the structure too: no new
     // symbolic setup, one more numeric refresh per iteration.
@@ -309,6 +308,48 @@ TEST(Viscosity, ThreeLayerLawMatchesPaper) {
   EXPECT_GT(law({0, 0, 0.5}, 0.0, 0.0) / law({0, 0, 0.95}, 1.0, 100.0), 1e3);
 }
 
+TEST(StokesSolver, VelocityHierarchiesShareOnePoissonOperator) {
+  // The solver fills one Poisson operator and resets its Dirichlet mask
+  // per velocity component, so each hierarchy's finest matrix must equal,
+  // bit for bit, a standalone scalar Laplacian with component c's
+  // Dirichlet faces (free slip: the two faces normal to axis c).
+  for (const int p : {1, 2})
+    alps::par::run(p, [](Comm& c) {
+      const Forest f = test::adapted_forest(c, Connectivity::brick(2, 1, 1), 2,
+                                            {1.0, 0.5, 0.5}, 0.1);
+      const Mesh m = extract_mesh(c, f);
+      const Connectivity& conn = f.connectivity();
+      const std::vector<double> eta = varying_eta(m, conn);
+      for (const fem::VelocityBc bc :
+           {fem::VelocityBc::kFreeSlip, fem::VelocityBc::kNoSlip}) {
+        StokesOptions opt;
+        opt.bc = bc;
+        const StokesSolver solver(c, m, conn, eta, opt);
+        for (int comp = 0; comp < 3; ++comp) {
+          SCOPED_TRACE("P = " + std::to_string(c.size()) + ", " +
+                       (bc == fem::VelocityBc::kNoSlip ? "no" : "free") +
+                       "-slip, component " + std::to_string(comp));
+          const std::uint8_t faces =
+              bc == fem::VelocityBc::kNoSlip
+                  ? std::uint8_t{0x3f}
+                  : static_cast<std::uint8_t>(0b11u << (2 * comp));
+          const la::DistCsr want =
+              fem::build_scalar_laplace(m, conn, eta_at, faces)
+                  .assemble_dist(c);
+          const la::DistCsr& got = solver.velocity_amg(comp).finest();
+          EXPECT_EQ(got.row_offsets(), want.row_offsets());
+          EXPECT_EQ(got.ghost_gids(), want.ghost_gids());
+          for (const auto& [g, w] : {std::pair{&got.diag(), &want.diag()},
+                                     std::pair{&got.offd(), &want.offd()}}) {
+            EXPECT_EQ(g->rowptr(), w->rowptr());
+            EXPECT_EQ(g->colidx(), w->colidx());
+            EXPECT_EQ(g->values(), w->values());
+          }
+        }
+      }
+    });
+}
+
 TEST(StokesOperator, MatchesAssembledSaddleOperator) {
   for (const int p : {1, 2, 4})
     alps::par::run(p, [](Comm& c) {
@@ -320,8 +361,8 @@ TEST(StokesOperator, MatchesAssembledSaddleOperator) {
           // Refined across the tree interface x = 1 and the rank cuts.
           {"brick", test::adapted_forest(c, Connectivity::brick(2, 1, 1), 2,
                                          {1.0, 0.5, 0.5}, 0.1)},
-          {"shell caps", test::adapted_forest(c, test::positive_shell_caps(),
-                                              1, {3.0, 1.0, 1.0}, 1.0)},
+          {"shell", test::adapted_forest(c, Connectivity::cubed_sphere_shell(),
+                                         1, {3.0, 1.0, 1.0}, 1.0)},
       };
       for (const Case& k : cases) {
         const Mesh m = extract_mesh(c, k.f);

@@ -1,5 +1,5 @@
-// Telemetry sink, structured Krylov convergence reporting, AMG
-// convergence-factor tracking, and the failure flight recorder
+// Telemetry sink, structured Krylov convergence reporting, and the
+// failure flight recorder
 // (DESIGN.md §8): JSONL record building and round-trip, solver status
 // classification (zero RHS, NaN operator, indefinite operator,
 // stagnation), residual history rings, and the end-to-end sentinel ->
@@ -16,7 +16,6 @@
 #include <sstream>
 #include <vector>
 
-#include "amg/amg.hpp"
 #include "la/csr.hpp"
 #include "la/krylov.hpp"
 #include "obs/dump.hpp"
@@ -240,28 +239,6 @@ TEST_F(TelemetryTest, StatusTokensAreStable) {
   EXPECT_STREQ(la::to_string(la::SolveStatus::kStagnated), "stagnated");
   EXPECT_STREQ(la::to_string(la::SolveStatus::kDiverged), "diverged");
   EXPECT_STREQ(la::to_string(la::SolveStatus::kNonFinite), "non_finite");
-}
-
-// ---- AMG convergence factors ------------------------------------------
-
-TEST_F(TelemetryTest, AmgSolveTracksConvergenceFactors) {
-  amg::AmgOptions opt;
-  opt.track_convergence = true;
-  amg::Amg solver(laplace_1d(400), opt);
-  const std::vector<double> b(400, 1.0);
-  std::vector<double> x(400, 0.0);
-  solver.solve(b, x, 5);
-  const std::vector<double>& f = solver.convergence_factors();
-  ASSERT_EQ(f.size(), 5u);
-  for (double factor : f) {
-    EXPECT_GE(factor, 0.0);
-    EXPECT_LT(factor, 1.0);  // every V-cycle contracts the residual
-  }
-  // The factors landed in the shared history registry for the recorder.
-  bool found = false;
-  for (const auto& [name, hists] : obs::histories())
-    found = found || name == "amg.solve.factors";
-  EXPECT_TRUE(found);
 }
 
 // ---- flight recorder --------------------------------------------------
