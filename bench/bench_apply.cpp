@@ -186,8 +186,6 @@ int main(int argc, char** argv) {
   for (const int ncomp : {1, 4}) {
     double t_scalar = 0, t_batched = 0;
     std::int64_t n_elem = 0, n_boundary = 0;
-    double t_hw = 0;  // wall seconds of the counted pass
-    int hw_reps = 0;
     std::size_t mat_doubles = 0, bs = 0;
     alps::par::run(1, [&](par::Comm& c) {
       forest::Forest f = forest::Forest::new_uniform(
@@ -206,18 +204,8 @@ int main(int argc, char** argv) {
           [&] { op.apply_scalar(c, x, y); }, [&] { op.apply(c, x, y); },
           reps, 5);
       n_boundary = static_cast<std::int64_t>(op.boundary_elements());
-      // Hardware-counter pass, separate from the timing loop: the two
-      // perf reads per apply would skew the batched-vs-scalar comparison.
-      // Pins the matrix-stream-bound claim: bytes/s over the known plan
-      // stream and FLOP/s from the logical 2 flops per block entry.
       mat_doubles = op.plan_matrix_doubles();
       bs = op.block_size();
-      hw_reps = reps;
-      alps::obs::set_hw_enabled(true);
-      const double h0 = now_s();
-      for (int i = 0; i < reps; ++i) op.apply(c, x, y);
-      t_hw = now_s() - h0;
-      alps::obs::set_hw_enabled(false);
     });
     const double ns_scalar = 1e9 * t_scalar / static_cast<double>(n_elem);
     const double ns_batched = 1e9 * t_batched / static_cast<double>(n_elem);
@@ -235,47 +223,19 @@ int main(int argc, char** argv) {
         .field("batched_ns_per_element", ns_batched)
         .field("speedup", speedup);
     {
+      // Achieved rates of the batched timing: bytes/s over the known plan
+      // matrix stream and FLOP/s from the logical 2 flops per block entry.
       const double matrix_bytes = static_cast<double>(mat_doubles) * 8.0;
       const double flops = 2.0 * static_cast<double>(bs) *
                            static_cast<double>(bs) *
                            static_cast<double>(n_elem);
-      const double per_apply_s = t_hw / std::max(1, hw_reps);
-      json.obj_open("hw")
-          .field("matrix_bytes_per_apply", matrix_bytes)
+      json.field("matrix_bytes_per_apply", matrix_bytes)
           .field("flops_per_apply", flops)
-          .field("matrix_bytes_per_s", matrix_bytes / per_apply_s)
-          .field("flops_per_s", flops / per_apply_s);
-      // Counter-derived rates when perf_event delivered real counts for
-      // the fem.apply spans of the counted pass; "available": false
-      // otherwise (unprivileged CI), never fabricated zeros.
-      alps::obs::HwCounts counts;
-      for (const auto& [name, hc] : alps::obs::aggregate_hw())
-        if (name == "fem.apply") counts = hc;
-      json.field("available", counts.available());
-      if (counts.available() && counts.spans > 0) {
-        const double spans = static_cast<double>(counts.spans);
-        if (counts.cycles_ok) {
-          json.field("cycles_per_apply",
-                     static_cast<double>(counts.cycles) / spans);
-          json.field("matrix_bytes_per_cycle",
-                     matrix_bytes * spans /
-                         static_cast<double>(counts.cycles));
-        }
-        if (counts.instructions_ok)
-          json.field("instructions_per_apply",
-                     static_cast<double>(counts.instructions) / spans);
-        if (counts.llc_ok)
-          json.field("llc_misses_per_apply",
-                     static_cast<double>(counts.llc_misses) / spans);
-        if (counts.stalled_ok)
-          json.field("stalled_cycles_per_apply",
-                     static_cast<double>(counts.stalled_cycles) / spans);
-      }
-      json.obj_close();
+          .field("matrix_bytes_per_s", matrix_bytes / t_batched)
+          .field("flops_per_s", flops / t_batched);
       std::printf(
-          "       hw[%d-comp]: %s, %.2f GB/s matrix stream, %.2f GFLOP/s\n",
-          ncomp, counts.available() ? "perf counters" : "perf unavailable",
-          matrix_bytes / per_apply_s * 1e-9, flops / per_apply_s * 1e-9);
+          "       rates[%d-comp]: %.2f GB/s matrix stream, %.2f GFLOP/s\n",
+          ncomp, matrix_bytes / t_batched * 1e-9, flops / t_batched * 1e-9);
     }
     json.obj_close();
   }

@@ -86,7 +86,6 @@ void Reporter::snapshot_obs(const std::string& label) {
   s.analysis = alps::obs::analysis::summarize(alps::obs::analysis::step_records());
   alps::obs::analysis::reset_records();
   s.latency = alps::obs::aggregate_hists();
-  s.hw = alps::obs::aggregate_hw();
   s.mem_enabled = alps::obs::mem_enabled();
   if (s.mem_enabled) {
     s.mem_scopes = alps::obs::aggregate_mem();
@@ -122,21 +121,6 @@ void Reporter::save(const std::string& path) {
             .field("p95_s", h.quantile(0.95))
             .field("p99_s", h.quantile(0.99))
             .field("max_s", h.max())
-            .obj_close();
-      }
-      j_.arr_close();
-    }
-    if (!s.hw.empty()) {
-      j_.arr_open("hw");
-      for (const auto& [name, c] : s.hw) {
-        j_.obj_open()
-            .field("span", name)
-            .field("spans", c.spans)
-            .field("available", c.available())
-            .field("cycles", c.cycles)
-            .field("instructions", c.instructions)
-            .field("llc_misses", c.llc_misses)
-            .field("stalled_cycles", c.stalled_cycles)
             .obj_close();
       }
       j_.arr_close();

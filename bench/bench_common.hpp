@@ -16,7 +16,6 @@
 #include "mesh/mesh.hpp"
 #include "obs/analysis.hpp"
 #include "obs/histogram.hpp"
-#include "obs/hwcounters.hpp"
 #include "obs/mem.hpp"
 #include "obs/obs.hpp"
 #include "par/runtime.hpp"
@@ -130,9 +129,9 @@ class Reporter {
   /// Capture the obs aggregates of the most recent par::run under `label`:
   /// phase breakdowns, merged counters, the wait-state / critical-path
   /// roll-up of every analyze_step the run performed, cross-rank latency
-  /// histograms (per-phase count / sum / p50 / p95 / p99 / max rows), and
-  /// hardware-counter aggregates. The analysis step records are consumed
-  /// (reset) so the next snapshot only sees its own run.
+  /// histograms (per-phase count / sum / p50 / p95 / p99 / max rows). The
+  /// analysis step records are consumed (reset) so the next snapshot only
+  /// sees its own run.
   void snapshot_obs(const std::string& label);
 
   /// Close the top-level object (appending the obs snapshots) and write.
@@ -147,7 +146,6 @@ class Reporter {
     // Cross-rank merged duration histograms (obs/histogram.hpp): one
     // percentile row per recorded phase in the JSON output.
     std::vector<std::pair<std::string, alps::obs::Histogram>> latency;
-    std::vector<std::pair<std::string, alps::obs::HwCounts>> hw;
     // Memory accounting of the run (obs/mem.hpp): per-scope bytes summed
     // over ranks, plus the process RSS sample and cadence-sampled peak.
     bool mem_enabled = false;

@@ -8,13 +8,14 @@ stepping, asserts:
   * /metrics parses as Prometheus text exposition: every non-comment line
     is `name[{labels}] value`, every metric name is preceded by a # TYPE,
     gauge values are finite,
-  * the alps_latency_seconds histogram exposes one series per phase with
-    cumulative (monotone non-decreasing) bucket counts per series, a
-    closing +Inf bucket equal to _count, and _sum / _count present —
-    including series for the explicitly instrumented "fem.apply" and
-    "amg.vcycle" phases (the series start at the end of setup, and the
-    driver's first step solves no Stokes system, so "amg.vcycle" is
-    required once the step counter has moved past the first scrape),
+  * the alps_latency_seconds histogram exposes one series per histogram
+    (label "phase") with cumulative (monotone non-decreasing) bucket
+    counts per series, a closing +Inf bucket equal to _count, and _sum /
+    _count present — including series for the "fem.apply" and
+    "amg.vcycle" latency histograms, which are not phases (the series
+    start at the end of setup, and the driver's first step solves no
+    Stokes system, so "amg.vcycle" is required once the step counter has
+    moved past the first scrape),
   * alps_step increases monotonically across two scrapes,
   * /status is valid JSON whose eta_s and step_rate_per_s are finite
     (and positive) once the rate window has filled,

@@ -8,13 +8,9 @@ JSONL mode (default):
     nusselt, v_rms, t_min, t_max, t_mean),
   * "step" is strictly increasing, "time" non-decreasing, "dt" > 0,
   * "per_level" is a list of non-negative ints summing to "elements",
-  * optional "timings" blocks (per-step slowest-rank phase seconds: the
-    critical-path maximum of each phase) carry a bool "adapted" and
-    non-negative finite phase entries, with the AMR phases (extract in
-    particular) at zero on non-adapting steps; when the record also has
-    a "critical_path" block, every single-phase timings entry equals the
-    cp_s of its phase wherever that phase is listed (both are printed
-    from the same double),
+  * optional "critical_path" blocks list per-phase slowest-rank seconds
+    (cp_s) that are finite and non-negative; on a record whose bool
+    "adapted" is false, no AMR phase (amr.*) has cp_s above 1e-6,
   * optional "latency" blocks (per-phase histogram quantiles) carry,
     per phase, a positive sample count and quantiles ordered
     p50 <= p95 <= p99 <= max with max <= sum <= count * max; for every
@@ -164,36 +160,23 @@ def check_latency_block(lat, where) -> None:
                  f"count * max = {count * mx}")
 
 
-TIMING_KEYS = [
-    "mark", "coarsen_refine", "balance", "partition", "extract",
-    "interpolate", "transfer", "time_integration", "stokes",
-]
-
-
-# Single-phase timings keys and the critical-path phase each one renders.
-TIMING_PHASES = {
-    "mark": "amr.mark_elements",
-    "coarsen_refine": "amr.coarsen_refine",
-    "balance": "amr.balance",
-    "partition": "amr.partition",
-    "extract": "amr.extract_mesh",
-    "interpolate": "amr.interpolate_fields",
-    "transfer": "amr.transfer_fields",
-    "time_integration": "energy.time_integration",
-}
-
-
-def check_timings_vs_critical_path(t, cp, where) -> None:
-    """Each single-phase timings entry is its phase's critical-path cp_s."""
+def check_critical_path_block(cp, adapted, where) -> None:
+    """Validate one record's "critical_path" block: every phase's cp_s is
+    non-negative, and phases that only run inside an adaptation
+    (extraction above all) are zero on non-adapting steps."""
     phases = cp.get("phases") if isinstance(cp, dict) else None
     if not isinstance(phases, list):
         fail(f"{where}: critical_path.phases is not a list")
-    cp_s = {p.get("phase"): p.get("cp_s") for p in phases
-            if isinstance(p, dict)}
-    for key, phase in TIMING_PHASES.items():
-        if phase in cp_s and t[key] != cp_s[phase]:
-            fail(f"{where}: timings.{key} = {t[key]} but critical_path "
-                 f"{phase} cp_s = {cp_s[phase]}")
+    for p in phases:
+        if not isinstance(p, dict) or not isinstance(p.get("phase"), str):
+            fail(f"{where}: critical_path phase entry malformed: {p!r}")
+        name = p["phase"]
+        v = _num(p, "cp_s", where)
+        if v < -1e-9:
+            fail(f"{where}: critical_path.{name}.cp_s is negative: {v}")
+        if adapted is False and name.startswith("amr.") and v > 1e-6:
+            fail(f"{where}: critical_path.{name}.cp_s = {v} on a "
+                 f"non-adapting step")
 
 
 def check_latency_vs_critical_path(lat, cp, ranks, where) -> None:
@@ -214,26 +197,6 @@ def check_latency_vs_critical_path(lat, cp, ranks, where) -> None:
                  f"mean_s * ranks = {total}")
 
 
-def check_timings_block(t, where) -> None:
-    """Validate one record's "timings" block: the AMR cycle phase seconds
-    are non-negative, and phases that only run inside an adaptation
-    (extraction above all) are zero on non-adapting steps."""
-    if not isinstance(t, dict):
-        fail(f"{where}: \"timings\" is not an object")
-    if not isinstance(t.get("adapted"), bool):
-        fail(f"{where}: timings.adapted is not a bool")
-    for key in TIMING_KEYS:
-        v = _num(t, key, where)
-        if v < -1e-9:
-            fail(f"{where}: timings.{key} is negative: {v}")
-    if not t["adapted"]:
-        for key in ("mark", "coarsen_refine", "balance", "partition",
-                    "extract", "interpolate", "transfer"):
-            if t[key] > 1e-6:
-                fail(f"{where}: timings.{key} = {t[key]} on a "
-                     f"non-adapting step")
-
-
 def check_jsonl(path: str, min_records: int) -> None:
     try:
         with open(path, encoding="utf-8") as f:
@@ -247,7 +210,7 @@ def check_jsonl(path: str, min_records: int) -> None:
     prev_step, prev_time = None, None
     hwm_state = {}
     mem_records = 0
-    timing_records = 0
+    cp_records = 0
     latency_records = 0
     for i, line in enumerate(lines, start=1):
         try:
@@ -285,12 +248,13 @@ def check_jsonl(path: str, min_records: int) -> None:
         if "memory" in rec:
             check_memory_block(rec["memory"], f"{path}:{i}", hwm_state)
             mem_records += 1
-        if "timings" in rec:
-            check_timings_block(rec["timings"], f"{path}:{i}")
-            if "critical_path" in rec:
-                check_timings_vs_critical_path(
-                    rec["timings"], rec["critical_path"], f"{path}:{i}")
-            timing_records += 1
+        adapted = rec.get("adapted")
+        if adapted is not None and not isinstance(adapted, bool):
+            fail(f"{path}:{i}: \"adapted\" is not a bool: {adapted!r}")
+        if "critical_path" in rec:
+            check_critical_path_block(rec["critical_path"], adapted,
+                                      f"{path}:{i}")
+            cp_records += 1
         if "latency" in rec:
             check_latency_block(rec["latency"], f"{path}:{i}")
             if "critical_path" in rec:
@@ -303,7 +267,7 @@ def check_jsonl(path: str, min_records: int) -> None:
     print(f"check_telemetry: OK: {len(lines)} records in {path}, "
           f"steps {lines and json.loads(lines[0])['step']}..{prev_step}, "
           f"{mem_records} with memory blocks, "
-          f"{timing_records} with timings blocks, "
+          f"{cp_records} with critical_path blocks, "
           f"{latency_records} with latency blocks")
 
 

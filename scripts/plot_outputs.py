@@ -23,10 +23,11 @@ Records with a "memory" block (ALPS_MEM on, the default) additionally get
 a <base>_memory.png: per-subsystem accounted bytes stacked over steps on
 top, accounted total / HWM and RSS / RSS-HWM time-series below.
 
-Records with a "timings" block additionally get a <base>_amr.png: the
-AMR cycle phases (mark / coarsen+refine / balance / partition / extract /
-interpolate / transfer) stacked per step on top, and the AMR share of
-the total step time below (adaptation steps marked).
+Records with a "critical_path" block additionally get a <base>_amr.png:
+the slowest-rank seconds of the AMR cycle phases (mark / coarsen+refine /
+balance / partition / extract / interpolate / transfer) stacked per step
+on top, and the AMR share of the step's solver time below (adaptation
+steps marked).
 
 Records with a "latency" block (the per-step cross-rank histogram
 quantiles, DESIGN.md section 14) additionally get a <base>_latency.png:
@@ -215,13 +216,20 @@ def plot_memory(path):
     return out
 
 
-AMR_PHASES = ["mark", "coarsen_refine", "balance", "partition", "extract",
-              "interpolate", "transfer"]
+AMR_PHASES = ["amr.mark_elements", "amr.coarsen_refine", "amr.balance",
+              "amr.partition", "amr.extract_mesh", "amr.interpolate_fields",
+              "amr.transfer_fields"]
+# The rest of a step's time: energy and the Stokes solve (amg.apply runs
+# inside stokes.minres).
+SOLVE_PHASES = ["energy.time_integration", "stokes.assemble", "amg.setup",
+                "stokes.minres"]
 
 
 def load_amr(path):
-    """Per-step AMR timing series from "timings" blocks: (steps,
-    {phase: [seconds]}, [amr share of step], [adapted flags])."""
+    """Per-step AMR timing series from "critical_path" blocks (cp_s, the
+    slowest rank's seconds): (steps, {phase: [seconds]}, [amr share of
+    step], [adapted flags]). The block lists a step's largest phases
+    only; a phase it leaves out counts as 0 seconds."""
     steps = []
     phases = {ph: [] for ph in AMR_PHASES}
     share = []
@@ -232,18 +240,20 @@ def load_amr(path):
             if not line:
                 continue
             rec = json.loads(line)
-            t = rec.get("timings")
-            if "step" not in rec or not isinstance(t, dict):
+            cp = rec.get("critical_path")
+            if "step" not in rec or not isinstance(cp, dict):
                 continue
+            cp_s = {p.get("phase"): p.get("cp_s", 0.0)
+                    for p in cp.get("phases", []) if isinstance(p, dict)}
             steps.append(rec["step"])
             amr = 0.0
             for ph in AMR_PHASES:
-                v = t.get(ph, 0.0)
+                v = cp_s.get(ph, 0.0)
                 phases[ph].append(v)
                 amr += v
-            total = amr + t.get("time_integration", 0.0) + t.get("stokes", 0.0)
+            total = amr + sum(cp_s.get(ph, 0.0) for ph in SOLVE_PHASES)
             share.append(amr / total if total > 0 else 0.0)
-            adapted.append(bool(t.get("adapted")))
+            adapted.append(bool(rec.get("adapted")))
     return steps, phases, share, adapted
 
 
@@ -255,7 +265,7 @@ def plot_amr(path):
 
     steps, phases, share, adapted = load_amr(path)
     if not steps:
-        print(f"skip {path}: no timings records")
+        print(f"skip {path}: no critical_path records")
         return None
 
     fig, (ax1, ax2) = plt.subplots(2, 1, figsize=(10, 8), sharex=True)

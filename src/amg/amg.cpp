@@ -5,7 +5,7 @@
 
 #include "amg/classical.hpp"
 #include "amg/smoother.hpp"
-#include "obs/histogram.hpp"
+#include "obs/obs.hpp"
 
 namespace alps::amg {
 

@@ -5,8 +5,6 @@
 #include <string>
 
 #include "amg/classical.hpp"
-#include "obs/histogram.hpp"
-#include "obs/hwcounters.hpp"
 #include "obs/obs.hpp"
 
 namespace alps::amg {
@@ -707,8 +705,6 @@ void DistAmg::cycle(par::Comm& comm, std::size_t lvl,
 
 void DistAmg::vcycle(par::Comm& comm, std::span<const double> b,
                      std::span<double> x) const {
-  OBS_SPAN("amg.vcycle");
-  OBS_HW_SPAN("amg.vcycle");
   OBS_HIST_SPAN("amg.vcycle");
   obs::counter_add(obs::wellknown::amg_vcycles(), 1);
   cycle(comm, 0, b, x);

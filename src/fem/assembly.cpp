@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/histogram.hpp"
-#include "obs/hwcounters.hpp"
+#include "obs/obs.hpp"
 
 namespace alps::fem {
 
@@ -242,7 +241,6 @@ void ElementOperator::apply_batched(par::Comm& comm, const double* weights,
 void ElementOperator::apply_raw(par::Comm& comm, std::span<const double> x,
                                 std::span<double> y) const {
   ensure_plan();
-  OBS_HW_SPAN("fem.apply");
   OBS_HIST_SPAN("fem.apply");
   apply_batched(comm, gather_.w_raw.data(), x, y);
   mesh_->exchange_start(comm, y, ncomp_);
@@ -252,7 +250,6 @@ void ElementOperator::apply_raw(par::Comm& comm, std::span<const double> x,
 void ElementOperator::apply(par::Comm& comm, std::span<const double> x,
                             std::span<double> y) const {
   ensure_plan();
-  OBS_HW_SPAN("fem.apply");
   OBS_HIST_SPAN("fem.apply");
   apply_batched(comm, gather_.w_bc.data(), x, y);
   gather_.finish_with_identity_rows(comm, *mesh_, x, y);

@@ -27,7 +27,12 @@
 // emit AVX2/AVX-512 clones of them and dispatch by CPU at load time — the
 // portable binary then runs 4- or 8-wide on the machines that have it
 // without a -march=native build.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+//
+// Not under ThreadSanitizer: GCC instruments the clones' ifunc resolver,
+// which the dynamic loader runs before the TSan runtime is initialized,
+// so the process segfaults before main.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 #define ALPS_APPLY_CLONES \
   __attribute__((target_clones("avx512f", "avx2", "default")))
 #else

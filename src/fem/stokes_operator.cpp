@@ -1,8 +1,7 @@
 #include "fem/stokes_operator.hpp"
 
 #include "fem/operators.hpp"
-#include "obs/histogram.hpp"
-#include "obs/hwcounters.hpp"
+#include "obs/obs.hpp"
 
 namespace alps::fem {
 
@@ -215,7 +214,6 @@ void StokesOperator::set_element(std::size_t e, const MappedQuad& mq,
 
 void StokesOperator::apply(par::Comm& comm, std::span<const double> x,
                            std::span<double> y) const {
-  OBS_HW_SPAN("fem.apply");
   OBS_HIST_SPAN("fem.apply");
   plan_.apply_overlapped(
       comm, *mesh_, y, [&](std::size_t b0, std::size_t b1) {

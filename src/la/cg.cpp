@@ -2,7 +2,6 @@
 #include <vector>
 
 #include "la/krylov.hpp"
-#include "obs/histogram.hpp"
 #include "obs/obs.hpp"
 
 namespace alps::la {
@@ -10,7 +9,6 @@ namespace alps::la {
 SolveResult cg(const LinOp& op, std::span<const double> b,
                std::span<double> x, const LinOp& precond,
                const MultiDotFn& dots, const KrylovOptions& opt) {
-  OBS_SPAN("la.cg");
   OBS_HIST_SPAN("la.cg");
   const std::size_t n = x.size();
   std::vector<double> r(n), z(n), p(n), ap(n);

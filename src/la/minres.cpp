@@ -2,7 +2,6 @@
 #include <vector>
 
 #include "la/krylov.hpp"
-#include "obs/histogram.hpp"
 #include "obs/obs.hpp"
 
 namespace alps::la {
@@ -10,7 +9,6 @@ namespace alps::la {
 SolveResult minres(const LinOp& op, std::span<const double> b,
                    std::span<double> x, const LinOp& precond,
                    const MultiDotFn& dots, const KrylovOptions& opt) {
-  OBS_SPAN("la.minres");
   OBS_HIST_SPAN("la.minres");
   const std::size_t n = x.size();
   std::vector<double> v(n), v_old(n, 0.0), v_new(n), z(n), z_new(n);

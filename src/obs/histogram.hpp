@@ -15,10 +15,10 @@
 // them in rank order, and the result is identical everywhere regardless
 // of how the reduction is grouped.
 //
-// Recording sites: every OBS_PHASE_SPAN close (hooked in Span::~Span)
-// and phase_add, plus explicit OBS_HIST_SPAN scopes per Krylov solve
-// ("la.cg", "la.minres"), AMG V-cycle ("amg.vcycle") and operator
-// application ("fem.apply"). The phase sites mark their histogram as a
+// Recording sites: obs::Span closes of category kPhase (OBS_PHASE_SPAN)
+// and kLatency (OBS_HIST_SPAN: each Krylov solve "la.cg" / "la.minres",
+// AMG V-cycle "amg.vcycle" and operator application "fem.apply"), plus
+// phase_add and hist_record. The phase sites mark their histogram as a
 // phase: its sum is the phase's seconds (obs::phase_seconds, the critical
 // path), so phase time has this one store. Like counters, recording is a
 // per-rank single-writer operation: no locks, no atomics.
@@ -27,8 +27,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "obs/obs.hpp"
 
 namespace alps::obs {
 
@@ -109,29 +107,5 @@ std::vector<std::pair<std::string, Histogram>> hist_samples();
 /// Every rank's histograms merged per name, sorted by name. Call after
 /// par::run has joined (main thread).
 std::vector<std::pair<std::string, Histogram>> aggregate_hists();
-
-/// RAII duration recorder feeding hist_record on scope exit. Used where
-/// the span is not an OBS_PHASE_SPAN (which records automatically):
-/// Krylov solves, AMG V-cycles, operator applies.
-class HistSpan {
- public:
-  explicit HistSpan(const char* name) : name_(name), t0_(trace_now_ns()) {}
-  ~HistSpan() {
-    hist_record(name_, static_cast<double>(trace_now_ns() - t0_) * 1e-9);
-  }
-  HistSpan(const HistSpan&) = delete;
-  HistSpan& operator=(const HistSpan&) = delete;
-
- private:
-  const char* name_;
-  std::uint64_t t0_;
-};
-
-#ifndef ALPS_OBS_DISABLE
-#define OBS_HIST_SPAN(name) \
-  ::alps::obs::HistSpan ALPS_OBS_CONCAT(obs_hist_, __LINE__)(name)
-#else
-#define OBS_HIST_SPAN(name) ((void)0)
-#endif
 
 }  // namespace alps::obs

@@ -17,7 +17,7 @@
 //  2. *RSS*: what the OS actually charges the process, sampled from
 //     /proc/self/statm + /proc/self/status (VmHWM). Off-Linux or when
 //     /proc is unreadable the sample degrades to available:false rather
-//     than fabricating zeros (same contract as obs/hwcounters.hpp).
+//     than fabricating zeros.
 //
 // High-water marks are attributed to the innermost OBS_PHASE_SPAN open
 // when the peak was set, so a spike names the phase that caused it. The

@@ -14,7 +14,6 @@
 #include <unordered_map>
 
 #include "obs/histogram.hpp"
-#include "obs/hwcounters.hpp"
 #include "obs/mem.hpp"
 
 namespace alps::obs {
@@ -151,6 +150,9 @@ RankSlot& checked_slot(int rank) {
   return *s.slots[static_cast<std::size_t>(rank)];
 }
 
+// Phase and latency spans time themselves into a histogram, traced or not.
+bool records_hist(Cat c) { return c == Cat::kPhase || c == Cat::kLatency; }
+
 void record_phase(RankSlot& slot, const char* name, double seconds) {
   Histogram& h = slot.hists[name];
   h.record(seconds);
@@ -170,7 +172,6 @@ void world_begin(int nranks) {
   }
   s.epoch = Clock::now();
   g_generation.fetch_add(1, std::memory_order_relaxed);
-  detail::world_begin(nranks);
   memdetail::world_begin(nranks);
 }
 
@@ -178,13 +179,11 @@ void rank_bind(int rank) {
   tl_slot = &checked_slot(rank);
   tl_phase_depth = 0;
   tl_wait_suppressed = false;
-  detail::rank_bind(rank);
   memdetail::rank_bind(rank);
 }
 
 void rank_unbind() {
   tl_slot = nullptr;
-  detail::rank_unbind();
   memdetail::rank_unbind();
 }
 
@@ -205,26 +204,29 @@ std::size_t set_ring_capacity(std::size_t events_per_rank) {
 
 // ---- spans ------------------------------------------------------------
 
-Span::Span(const char* name, Cat cat, bool accumulate_phase)
-    : name_(name), cat_(cat), phase_(accumulate_phase) {
+Span::Span(const char* name, Cat cat) : name_(name), cat_(cat) {
   if (tl_slot == nullptr) return;
   record_ = category_enabled(cat);
-  if (phase_ && tl_phase_depth < kPhaseStackDepth)
+  if (cat == Cat::kPhase && tl_phase_depth < kPhaseStackDepth)
     tl_phase_stack[tl_phase_depth++] = name;
-  if (record_ || phase_) t0_ = now_ns();
+  if (record_ || records_hist(cat)) t0_ = now_ns();
 }
 
 Span::~Span() {
   RankSlot* slot = tl_slot;
-  if (slot == nullptr || !(record_ || phase_)) return;
-  if (phase_ && tl_phase_depth > 0) --tl_phase_depth;
+  if (slot == nullptr || !(record_ || records_hist(cat_))) return;
+  const bool phase = cat_ == Cat::kPhase;
+  if (phase && tl_phase_depth > 0) --tl_phase_depth;
   // RSS only moves when something allocated, and allocations live inside
   // phases — so phase closes are the natural (cheap, cadenced) sampling
   // points for the memory peak tracker.
-  if (phase_) memdetail::phase_close_tick(name_);
+  if (phase) memdetail::phase_close_tick(name_);
   const std::uint64_t t1 = now_ns();
-  if (phase_)
-    record_phase(*slot, name_, static_cast<double>(t1 - t0_) * 1e-9);
+  if (records_hist(cat_)) {
+    Histogram& h = slot->hists[name_];
+    h.record(static_cast<double>(t1 - t0_) * 1e-9);
+    if (phase) h.mark_phase();
+  }
   if (record_) {
     if (slot->count < slot->ring.size())
       slot->ring[slot->count++] = SpanEvent{name_, t0_, t1 - t0_, cat_};
@@ -636,6 +638,7 @@ const char* cat_name(Cat c) {
   switch (c) {
     case Cat::kPhase: return "phase";
     case Cat::kComm: return "comm";
+    case Cat::kLatency: return "latency";
     case Cat::kSolver: break;
   }
   return "solver";

@@ -3,12 +3,13 @@
 //
 // Three pieces, shared by the whole stack:
 //
-//  1. Scoped spans (OBS_SPAN / OBS_PHASE_SPAN) recorded into per-rank
-//     ring buffers. Each simulated rank (par::run thread) owns its buffer
-//     and is its only writer, so recording takes no locks; the main
-//     thread reads the buffers only after par::run has joined the rank
-//     threads. Buffers export as Chrome trace-event JSON — one track per
-//     rank — loadable in Perfetto or chrome://tracing.
+//  1. Scoped spans (OBS_SPAN / OBS_PHASE_SPAN / OBS_HIST_SPAN /
+//     OBS_COMM_SPAN) recorded into per-rank ring buffers. Each simulated
+//     rank (par::run thread) owns its buffer and is its only writer, so
+//     recording takes no locks; the main thread reads the buffers only
+//     after par::run has joined the rank threads. Buffers export as
+//     Chrome trace-event JSON — one track per rank — loadable in Perfetto
+//     or chrome://tracing.
 //  2. A counter registry (interned name -> small integer id, per-rank
 //     value slots) absorbing solver metrics: MINRES/CG iterations, AMG
 //     V-cycles, per-level hierarchy nnz, ghost-exchange payload bytes.
@@ -23,8 +24,9 @@
 // phase + solver spans; =comm/all additionally records per-collective
 // spans) or set_enabled() is called; a disabled span is one relaxed
 // atomic load. Compiling with -DALPS_OBS_DISABLE removes the span macros
-// entirely. Phase time and counters stay on regardless; they cost one
-// thread-local histogram record on paths that are never per-element hot.
+// entirely. Phase time, latency histograms and counters stay on
+// regardless; they cost one thread-local histogram record on paths that
+// are never per-element hot.
 
 #include <atomic>
 #include <cstddef>
@@ -37,10 +39,21 @@ namespace alps::obs {
 
 // ---- enablement -------------------------------------------------------
 
-enum class Cat : std::uint8_t { kPhase = 0, kSolver = 1, kComm = 2 };
+/// Span categories. Every category but kComm is traced under bit 0 of
+/// ALPS_TRACE; kComm needs ALPS_TRACE=comm/all. kPhase and kLatency spans
+/// also record their duration into this rank's histogram of the span's
+/// name, traced or not (obs/histogram.hpp): a kPhase histogram is marked
+/// as phase time (obs::phase_seconds, the critical path), a kLatency one
+/// is a plain latency distribution.
+enum class Cat : std::uint8_t {
+  kPhase = 0,
+  kSolver = 1,
+  kComm = 2,
+  kLatency = 3,
+};
 
 namespace detail {
-// Bit 0: record phase/solver spans. Bit 1: record comm spans.
+// Bit 0: record phase/latency/solver spans. Bit 1: record comm spans.
 // Initialized from ALPS_TRACE on first use; see ensure_init().
 extern std::atomic<int> g_mask;
 int init_mask();
@@ -87,14 +100,12 @@ struct SpanEvent {
   Cat cat = Cat::kSolver;
 };
 
-/// RAII scoped span. `accumulate_phase` additionally records the elapsed
-/// seconds into this rank's phase histogram `name` (always, even with
-/// tracing disabled — this is what obs::phase_seconds reads).
+/// RAII scoped span: one clock pair feeds both the trace event (when the
+/// category is traced) and, for kPhase / kLatency, the histogram `name`.
 /// `name` must outlive the trace session: pass a string literal.
 class Span {
  public:
-  explicit Span(const char* name, Cat cat = Cat::kSolver,
-                bool accumulate_phase = false);
+  explicit Span(const char* name, Cat cat = Cat::kSolver);
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -104,7 +115,6 @@ class Span {
   std::uint64_t t0_ = 0;
   Cat cat_;
   bool record_ = false;  // emit a trace event on close
-  bool phase_ = false;   // record into the phase histogram on close
 };
 
 #ifndef ALPS_OBS_DISABLE
@@ -116,7 +126,12 @@ class Span {
 /// Scoped span that also records into the named phase.
 #define OBS_PHASE_SPAN(name)                             \
   ::alps::obs::Span ALPS_OBS_CONCAT(obs_span_, __LINE__)( \
-      name, ::alps::obs::Cat::kPhase, true)
+      name, ::alps::obs::Cat::kPhase)
+/// Scoped span that also records into the named latency histogram (not
+/// phase time): Krylov solves, AMG V-cycles, operator applies.
+#define OBS_HIST_SPAN(name)                              \
+  ::alps::obs::Span ALPS_OBS_CONCAT(obs_span_, __LINE__)( \
+      name, ::alps::obs::Cat::kLatency)
 /// Communication-category span (recorded only with ALPS_TRACE=comm/all).
 #define OBS_COMM_SPAN(name)                              \
   ::alps::obs::Span ALPS_OBS_CONCAT(obs_span_, __LINE__)( \
@@ -124,6 +139,7 @@ class Span {
 #else
 #define OBS_SPAN(name) ((void)0)
 #define OBS_PHASE_SPAN(name) ((void)0)
+#define OBS_HIST_SPAN(name) ((void)0)
 #define OBS_COMM_SPAN(name) ((void)0)
 #endif
 

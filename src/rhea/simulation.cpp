@@ -550,7 +550,8 @@ void Simulation::emit_step_telemetry(double dt, bool adapted,
              std::span<const std::int64_t>(per_level.data(), n_levels))
       .field("picard_iterations",
              static_cast<std::int64_t>(last_stokes_.iterations))
-      .field("amg_vcycles", static_cast<std::uint64_t>(arec.sum[kVcycles]));
+      .field("amg_vcycles", static_cast<std::uint64_t>(arec.sum[kVcycles]))
+      .field_json("adapted", adapted ? "true" : "false");
   if (!last_stokes_.solves.empty()) {
     const la::SolveResult& kr = last_stokes_.solves.back();
     rec.field("minres_iterations", static_cast<std::int64_t>(kr.iterations))
@@ -563,31 +564,7 @@ void Simulation::emit_step_telemetry(double dt, bool adapted,
       .field("t_max", phys.t_max)
       .field("t_mean", phys.t_mean);
   if (arec.timed) {
-    // Slowest-rank seconds per phase this step (the critical-path maxima):
-    // the AMR cycle stages (0 on non-adapting steps) and the solver
-    // phases, so consumers can compute the AMR share of the step
-    // (Fig. 10). amg.apply runs inside stokes.minres.
-    const auto cp = [&arec](const char* phase) {
-      for (const obs::analysis::PhaseCritical& c : arec.critical)
-        if (c.phase == phase) return c.cp_s;
-      return 0.0;
-    };
-    std::ostringstream os;
-    os.precision(9);
-    os << "{\"adapted\":" << (adapted ? "true" : "false")
-       << ",\"mark\":" << cp("amr.mark_elements")
-       << ",\"coarsen_refine\":" << cp("amr.coarsen_refine")
-       << ",\"balance\":" << cp("amr.balance")
-       << ",\"partition\":" << cp("amr.partition")
-       << ",\"extract\":" << cp("amr.extract_mesh")
-       << ",\"interpolate\":" << cp("amr.interpolate_fields")
-       << ",\"transfer\":" << cp("amr.transfer_fields")
-       << ",\"time_integration\":" << cp("energy.time_integration")
-       << ",\"stokes\":"
-       << cp("stokes.assemble") + cp("amg.setup") + cp("stokes.minres")
-       << "}";
-    rec.field_json("timings", os.str())
-        .field_json("critical_path", obs::analysis::critical_path_json(arec))
+    rec.field_json("critical_path", obs::analysis::critical_path_json(arec))
         .field_json("wait_states", obs::analysis::wait_states_json(arec))
         .field_json("latency", obs::analysis::latency_json(arec));
   }

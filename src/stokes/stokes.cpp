@@ -18,7 +18,7 @@ StokesSolver::StokesSolver(par::Comm& comm, const Mesh& m,
   // windows without nesting (nesting would double-count the phase
   // seconds).
   std::optional<obs::Span> phase_span;
-  phase_span.emplace("stokes.assemble", obs::Cat::kPhase, true);
+  phase_span.emplace("stokes.assemble", obs::Cat::kPhase);
   const std::size_t ne = m.elements.size();
 
   op_ = std::make_unique<fem::StokesOperator>(m, opt_.bc);
@@ -61,7 +61,7 @@ StokesSolver::StokesSolver(par::Comm& comm, const Mesh& m,
   m.exchange(comm, schur_diag_);
   phase_span.reset();
 
-  phase_span.emplace("amg.setup", obs::Cat::kPhase, true);
+  phase_span.emplace("amg.setup", obs::Cat::kPhase);
   // Component c's Poisson matrix: the shared element matrices with c's
   // Dirichlet rows (the saddle operator's velocity_dirichlet set).
   const auto assemble_component = [&](int c) {

@@ -87,6 +87,7 @@ TEST_F(ObsTest, PhaseSecondsAreThePhaseHistogramSums) {
 #ifdef ALPS_OBS_DISABLE
   GTEST_SKIP() << "span macros are compiled out";
 #endif
+  obs::set_enabled(true);  // one timer feeds both the trace and histograms
   obs::analysis::StepRecord rec;
   par::run(2, [&](par::Comm& c) {
     for (int i = 0; i < 3; ++i) {
@@ -108,6 +109,20 @@ TEST_F(ObsTest, PhaseSecondsAreThePhaseHistogramSums) {
     EXPECT_TRUE(h->is_phase());
     EXPECT_EQ(h->count(), 4u);
     EXPECT_EQ(obs::phase_seconds(r, "test.store"), h->sum());
+    // Each traced OBS_HIST_SPAN close is one trace event and one sample.
+    const obs::Histogram* lat = nullptr;
+    for (const auto& [name, hist] : samples)
+      if (name == "test.hist_only") lat = &hist;
+    ASSERT_NE(lat, nullptr);
+    EXPECT_FALSE(lat->is_phase());
+    EXPECT_EQ(lat->count(), 3u);
+    int traced = 0;
+    for (const auto& e : obs::events(r))
+      if (std::string(e.name) == "test.hist_only") {
+        ++traced;
+        EXPECT_EQ(e.cat, obs::Cat::kLatency);
+      }
+    EXPECT_EQ(traced, 3);
   }
   // OBS_HIST_SPAN durations are latency samples, not phase time.
   bool in_latency = false;

@@ -4,10 +4,13 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
+#include "obs/histogram.hpp"
 #include "obs/mem.hpp"
 #include "obs/obs.hpp"
 #include "octree/balance.hpp"
@@ -248,25 +251,31 @@ TEST_P(RheaRanks, SentinelTripsWithEveryPillarOff) {
   std::filesystem::remove_all(dump_dir);
 }
 
+SimConfig convection_config() {
+  SimConfig cfg;
+  cfg.init_level = 2;
+  cfg.min_level = 2;
+  cfg.max_level = 4;
+  cfg.initial_adapt_rounds = 1;
+  cfg.adapt_every = 3;
+  cfg.energy.kappa = 1.0;
+  cfg.picard.rayleigh = 1e4;
+  cfg.picard.max_iterations = 2;
+  cfg.picard.stokes.krylov.max_iterations = 200;
+  cfg.picard.stokes.krylov.rtol = 1e-6;
+  rhea::YieldingLawOptions yopt;
+  cfg.law = rhea::three_layer_yielding(yopt);
+  return cfg;
+}
+
+double convection_t0(const std::array<double, 3>& p) {
+  return (1.0 - p[2]) + 0.1 * std::cos(M_PI * p[0]) * std::sin(M_PI * p[2]);
+}
+
 TEST_P(RheaRanks, SmallMantleConvectionRunsStably) {
   alps::par::run(GetParam(), [](Comm& c) {
-    SimConfig cfg;
-    cfg.init_level = 2;
-    cfg.min_level = 2;
-    cfg.max_level = 4;
-    cfg.initial_adapt_rounds = 1;
-    cfg.adapt_every = 3;
-    cfg.energy.kappa = 1.0;
-    cfg.picard.rayleigh = 1e4;
-    cfg.picard.max_iterations = 2;
-    cfg.picard.stokes.krylov.max_iterations = 200;
-    cfg.picard.stokes.krylov.rtol = 1e-6;
-    rhea::YieldingLawOptions yopt;
-    cfg.law = rhea::three_layer_yielding(yopt);
-    Simulation sim(c, cfg);
-    sim.initialize([](const std::array<double, 3>& p) {
-      return (1.0 - p[2]) + 0.1 * std::cos(M_PI * p[0]) * std::sin(M_PI * p[2]);
-    });
+    Simulation sim(c, convection_config());
+    sim.initialize(convection_t0);
     sim.run(4);
     // Convection started: nonzero velocity somewhere.
     double vmax = 0;
@@ -283,6 +292,41 @@ TEST_P(RheaRanks, SmallMantleConvectionRunsStably) {
     EXPECT_GT(obs::phase_seconds("stokes.minres"), 0.0);
 #endif
   });
+}
+
+TEST_P(RheaRanks, TracedSolverSpansMatchTheirHistograms) {
+#ifdef ALPS_OBS_DISABLE
+  GTEST_SKIP() << "span macros are compiled out";
+#endif
+  // One span per solver scope feeds both stores: with tracing on, every
+  // latency sample of a solve, V-cycle or operator apply is also exactly
+  // one trace event, and every V-cycle is counted once.
+  obs::set_enabled(true);
+  alps::par::run(GetParam(), [](Comm& c) {
+    Simulation sim(c, convection_config());
+    sim.initialize(convection_t0);
+    sim.run(2);
+  });
+  obs::set_enabled(false);
+  for (int r = 0; r < GetParam(); ++r) {
+    ASSERT_EQ(obs::dropped(r), 0u);
+    const auto hists = obs::hist_samples(r);
+    const auto hist_count = [&](const std::string& name) {
+      for (const auto& [n, h] : hists)
+        if (n == name) return h.count();
+      return std::uint64_t{0};
+    };
+    const std::vector<obs::SpanEvent> events = obs::events(r);
+    for (const std::string name : {"fem.apply", "amg.vcycle", "la.minres"}) {
+      std::uint64_t traced = 0;
+      for (const auto& e : events) traced += name == e.name ? 1 : 0;
+      EXPECT_GT(traced, 0u) << name << " on rank " << r;
+      EXPECT_EQ(traced, hist_count(name)) << name << " on rank " << r;
+    }
+    EXPECT_EQ(hist_count("amg.vcycle"),
+              obs::counter_value(r, obs::wellknown::amg_vcycles()))
+        << "rank " << r;
+  }
 }
 
 TEST_P(RheaRanks, GoalOrientedAdaptationTracksGoalRegion) {
