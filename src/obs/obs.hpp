@@ -267,9 +267,11 @@ CounterId ghost_exchange_bytes();
 CounterId minres_iterations();
 CounterId cg_iterations();
 CounterId amg_vcycles();
-/// Hierarchy-reuse outcomes per StokesSolver construction (see
-/// amg::HierarchyCache): full symbolic setup / numeric-only RAP refresh /
-/// setup skipped entirely under the viscosity-drift tolerance.
+/// Hierarchy-reuse outcomes per StokesSolver::update: full symbolic setup
+/// (the first update on a mesh) / numeric-only RAP refresh (every later
+/// one). amg_setup_skipped is never incremented: the viscosity-drift skip
+/// it counted is gone, and the id stays registered for readers that still
+/// report it.
 CounterId amg_setup_full();
 CounterId amg_setup_numeric();
 CounterId amg_setup_skipped();

@@ -86,8 +86,8 @@ std::int64_t Simulation::global_elements() const {
 
 void Simulation::initialize(
     const std::function<double(const std::array<double, 3>&)>& t0) {
+  stokes_.reset();  // it points at the mesh about to be replaced
   mesh_ = mesh::extract_mesh(*comm_, forest_);
-  amg_cache_.bump_epoch();
   temperature_ = fem::interpolate(mesh_, t0);
 
   // Resolve the initial condition: a few mark/adapt/extract rounds where
@@ -108,7 +108,6 @@ void Simulation::initialize(
     forest_.balance(*comm_);
     forest_.partition(*comm_);
     mesh_ = mesh::extract_mesh(*comm_, forest_);
-    amg_cache_.bump_epoch();
     temperature_ = fem::interpolate(mesh_, t0);
   }
   solution_.assign(static_cast<std::size_t>(mesh_.n_local) * 4, 0.0);
@@ -131,11 +130,12 @@ void Simulation::update_velocity() {
   }
   energy_.reset();  // velocity changes invalidate the SUPG operator
   // StokesSolver accumulates the stokes.assemble / amg.setup / amg.apply /
-  // stokes.minres obs phases itself; the PicardResult timings are only for
-  // callers outside a rank context.
+  // stokes.minres obs phases itself.
+  if (!stokes_)
+    stokes_ = std::make_unique<stokes::StokesSolver>(
+        mesh_, forest_.connectivity(), cfg_.picard.stokes);
   last_stokes_ = stokes::solve_nonlinear_stokes(
-      *comm_, mesh_, forest_.connectivity(), cfg_.law, temperature_,
-      solution_, cfg_.picard, &amg_cache_);
+      *comm_, *stokes_, cfg_.law, temperature_, solution_, cfg_.picard);
 }
 
 void Simulation::extract_and_rebuild(std::span<const double> element_temps) {
@@ -146,13 +146,15 @@ void Simulation::extract_and_rebuild(std::span<const double> element_temps) {
         mesh::ghost_layer(*comm_, forest_.tree(), forest_.connectivity());
     mesh_ = mesh::extract_mesh(*comm_, forest_, std::move(ghosts));
   }
-  amg_cache_.bump_epoch();  // new mesh: every cached AMG structure is stale
   temperature_ = mesh::from_element_values(*comm_, mesh_, element_temps);
   solution_.assign(static_cast<std::size_t>(mesh_.n_local) * 4, 0.0);
   energy_.reset();
 }
 
 void Simulation::adapt_once() {
+  // The Stokes solver belongs to the mesh this cycle replaces; the AMR
+  // phases run without it.
+  stokes_.reset();
   AdaptationStats stats;
   octree::LinearOctree& tree = forest_.tree();
 
@@ -395,13 +397,15 @@ void Simulation::account_memory() {
   mem_set(kMeshTopo, mb.topology);
   mem_set(kMeshDofs, mb.dofs);
   mem_set(kMeshHalo, mb.halo);
-  mem_set(kFemPlan, energy_ ? energy_->op().memory_bytes() : 0);
+  mem_set(kFemPlan, (energy_ ? energy_->op().memory_bytes() : 0) +
+                        (stokes_ ? stokes_->memory_bytes() : 0));
   mem_set(kEnergy, energy_ ? energy_->memory_bytes() : 0);
   mem_set(kFields,
           obs::vec_bytes(temperature_) + obs::vec_bytes(solution_));
 
   amg::DistAmg::MemoryBytes ab;
-  for (const auto& a : amg_cache_.amg) {
+  const amg::HierarchyCache none;
+  for (const auto& a : (stokes_ ? stokes_->hierarchies() : none).amg) {
     if (!a) continue;
     const amg::DistAmg::MemoryBytes m = a->memory_bytes();
     ab.operators += m.operators;
@@ -415,8 +419,8 @@ void Simulation::account_memory() {
   mem_set(kAmgRap, ab.rap);
   mem_set(kAmgCoarse, ab.coarse);
   // The cache scope holds what reuse keeps alive beyond the operators
-  // themselves: the viscosity snapshot and the cycle workspaces.
-  mem_set(kAmgCache, obs::vec_bytes(amg_cache_.eta_snapshot) + ab.scratch);
+  // themselves: the cycle workspaces.
+  mem_set(kAmgCache, ab.scratch);
 
   mem_set(kMailbox, comm_->pending_recv_bytes());
   mem_set(kObsSelf, obs::self_memory_bytes());

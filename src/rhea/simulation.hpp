@@ -196,9 +196,10 @@ class Simulation {
   // Cached SUPG operator and per-element quadrature weights (read by the
   // telemetry diagnostics); invalidated when the mesh or velocity changes.
   std::unique_ptr<energy::EnergySolver> energy_;
-  // AMG hierarchies shared across Picard iterations and non-adapting
-  // timesteps; its epoch is bumped on every mesh rebuild.
-  amg::HierarchyCache amg_cache_;
+  // The Stokes solver on mesh_ (convection mode): built by the first
+  // solve on a mesh and released before the mesh changes, so its AMG
+  // hierarchies serve every Picard iteration and timestep in between.
+  std::unique_ptr<stokes::StokesSolver> stokes_;
   // Drift-detector window: one row per non-adapting step, per-rank
   // accounted bytes (identical on every rank — the step exchange carries
   // them — so the trip decision below is collective-safe without another

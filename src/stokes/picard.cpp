@@ -4,44 +4,59 @@
 
 namespace alps::stokes {
 
+namespace {
+
+/// Second invariant of the strain rate at element e's quadrature points,
+/// from its mapped quadrature and the velocity in the 4-comp vector x.
+std::array<double, fem::kQuad> element_strain_rate(
+    const Mesh& m, std::size_t e, const fem::MappedQuad& mq,
+    std::span<const double> x) {
+  std::array<std::array<double, 3>, 8> ue;
+  for (int i = 0; i < 8; ++i) {
+    const mesh::Corner& cc = m.corners[e][static_cast<std::size_t>(i)];
+    for (int c = 0; c < 3; ++c) {
+      double v = 0.0;
+      for (int k = 0; k < cc.n; ++k)
+        v += cc.w[static_cast<std::size_t>(k)] *
+             x[static_cast<std::size_t>(cc.dof[static_cast<std::size_t>(k)]) * 4 +
+               static_cast<std::size_t>(c)];
+      ue[static_cast<std::size_t>(i)][static_cast<std::size_t>(c)] = v;
+    }
+  }
+  std::array<double, fem::kQuad> edot;
+  for (int q = 0; q < fem::kQuad; ++q) {
+    double grad[3][3] = {};
+    for (int i = 0; i < 8; ++i)
+      for (int c = 0; c < 3; ++c)
+        for (int d = 0; d < 3; ++d)
+          grad[c][d] += ue[static_cast<std::size_t>(i)][static_cast<std::size_t>(c)] *
+                        mq.dn[static_cast<std::size_t>(q)]
+                             [static_cast<std::size_t>(i)]
+                             [static_cast<std::size_t>(d)];
+    const double div = grad[0][0] + grad[1][1] + grad[2][2];
+    double ss = 0.0;
+    for (int c = 0; c < 3; ++c)
+      for (int d = 0; d < 3; ++d) {
+        double eps = 0.5 * (grad[c][d] + grad[d][c]);
+        if (c == d) eps -= div / 3.0;  // deviatoric part
+        ss += eps * eps;
+      }
+    edot[static_cast<std::size_t>(q)] = std::sqrt(0.5 * ss);
+  }
+  return edot;
+}
+
+}  // namespace
+
 std::vector<double> strain_rate_invariant(const Mesh& m,
                                           const forest::Connectivity& conn,
                                           std::span<const double> x) {
   std::vector<double> edot(m.elements.size() * 8, 0.0);
-  std::array<std::array<double, 3>, 8> ue;
   for (std::size_t e = 0; e < m.elements.size(); ++e) {
-    const fem::MappedQuad mq =
-        fem::map_element(fem::element_geometry(m, conn, e));
-    for (int i = 0; i < 8; ++i) {
-      const mesh::Corner& cc = m.corners[e][static_cast<std::size_t>(i)];
-      for (int c = 0; c < 3; ++c) {
-        double v = 0.0;
-        for (int k = 0; k < cc.n; ++k)
-          v += cc.w[static_cast<std::size_t>(k)] *
-               x[static_cast<std::size_t>(cc.dof[static_cast<std::size_t>(k)]) * 4 +
-                 static_cast<std::size_t>(c)];
-        ue[static_cast<std::size_t>(i)][static_cast<std::size_t>(c)] = v;
-      }
-    }
-    for (int q = 0; q < fem::kQuad; ++q) {
-      double grad[3][3] = {};
-      for (int i = 0; i < 8; ++i)
-        for (int c = 0; c < 3; ++c)
-          for (int d = 0; d < 3; ++d)
-            grad[c][d] += ue[static_cast<std::size_t>(i)][static_cast<std::size_t>(c)] *
-                          mq.dn[static_cast<std::size_t>(q)]
-                               [static_cast<std::size_t>(i)]
-                               [static_cast<std::size_t>(d)];
-      const double div = grad[0][0] + grad[1][1] + grad[2][2];
-      double ss = 0.0;
-      for (int c = 0; c < 3; ++c)
-        for (int d = 0; d < 3; ++d) {
-          double eps = 0.5 * (grad[c][d] + grad[d][c]);
-          if (c == d) eps -= div / 3.0;  // deviatoric part
-          ss += eps * eps;
-        }
-      edot[8 * e + static_cast<std::size_t>(q)] = std::sqrt(0.5 * ss);
-    }
+    const std::array<double, fem::kQuad> ed = element_strain_rate(
+        m, e, fem::map_element(fem::element_geometry(m, conn, e)), x);
+    std::copy(ed.begin(), ed.end(),
+              edot.begin() + static_cast<std::ptrdiff_t>(8 * e));
   }
   return edot;
 }
@@ -51,13 +66,16 @@ std::vector<double> evaluate_viscosity(const Mesh& m,
                                        const ViscosityLaw& law,
                                        std::span<const double> temperature,
                                        std::span<const double> x) {
-  const std::vector<double> edot = strain_rate_invariant(m, conn, x);
   const auto& n = fem::shape_values();
   std::vector<double> eta(m.elements.size() * 8);
   std::array<double, 8> te;
   for (std::size_t e = 0; e < m.elements.size(); ++e) {
+    // One geometry map per element serves the strain rate, the
+    // temperature and the quadrature coordinates.
     const fem::MappedQuad mq =
         fem::map_element(fem::element_geometry(m, conn, e));
+    const std::array<double, fem::kQuad> edot =
+        element_strain_rate(m, e, mq, x);
     for (int i = 0; i < 8; ++i) {
       const mesh::Corner& cc = m.corners[e][static_cast<std::size_t>(i)];
       te[static_cast<std::size_t>(i)] = 0.0;
@@ -73,33 +91,28 @@ std::vector<double> evaluate_viscosity(const Mesh& m,
               te[static_cast<std::size_t>(i)];
       eta[8 * e + static_cast<std::size_t>(q)] =
           law(mq.xq[static_cast<std::size_t>(q)], tq,
-              edot[8 * e + static_cast<std::size_t>(q)]);
+              edot[static_cast<std::size_t>(q)]);
     }
   }
   return eta;
 }
 
-PicardResult solve_nonlinear_stokes(par::Comm& comm, const Mesh& m,
-                                    const forest::Connectivity& conn,
+PicardResult solve_nonlinear_stokes(par::Comm& comm, StokesSolver& solver,
                                     const ViscosityLaw& law,
                                     std::span<const double> temperature,
                                     std::span<double> x,
-                                    const PicardOptions& opt,
-                                    amg::HierarchyCache* cache) {
+                                    const PicardOptions& opt) {
+  const Mesh& m = solver.mesh();
+  const forest::Connectivity& conn = solver.connectivity();
   PicardResult result;
   const std::size_t nl = static_cast<std::size_t>(m.n_local);
   std::vector<double> prev(x.begin(), x.end());
-  // Without a caller-owned cache, a loop-local one still reuses the
-  // hierarchy structure across Picard iterations (same mesh throughout).
-  amg::HierarchyCache local_cache;
-  if (cache == nullptr) cache = &local_cache;
+  // The temperature is fixed over the loop, and so is the buoyancy.
+  const std::vector<double> rhs = StokesSolver::buoyancy_rhs(
+      comm, m, conn, temperature, opt.rayleigh, opt.buoyancy_dir,
+      solver.options());
   for (int it = 0; it < opt.max_iterations; ++it) {
-    const std::vector<double> eta =
-        evaluate_viscosity(m, conn, law, temperature, x);
-    StokesSolver solver(comm, m, conn, eta, opt.stokes, cache);
-    const std::vector<double> rhs = StokesSolver::buoyancy_rhs(
-        comm, m, conn, temperature, opt.rayleigh, opt.buoyancy_dir,
-        opt.stokes);
+    solver.update(comm, evaluate_viscosity(m, conn, law, temperature, x));
     result.solves.push_back(solver.solve(comm, rhs, x));
     result.iterations = it + 1;
 

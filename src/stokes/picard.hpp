@@ -17,7 +17,7 @@ using ViscosityLaw =
 struct PicardOptions {
   int max_iterations = 10;
   double tolerance = 1e-3;  // relative velocity change
-  StokesOptions stokes{};
+  StokesOptions stokes{};  // what the caller builds its StokesSolver with
   double rayleigh = 1e5;
   int buoyancy_dir = 2;  // radial (z) direction
 };
@@ -42,16 +42,15 @@ std::vector<double> evaluate_viscosity(const Mesh& m,
                                        std::span<const double> temperature,
                                        std::span<const double> x);
 
-/// Nonlinear Stokes solve; x (4*n_local) is the initial guess and result.
-/// `cache` carries the AMG hierarchies across iterations (and, when the
-/// caller owns it, across timesteps); when null, a loop-local cache still
-/// amortizes the symbolic setup over iterations >= 2.
-PicardResult solve_nonlinear_stokes(par::Comm& comm, const Mesh& m,
-                                    const forest::Connectivity& conn,
+/// Nonlinear Stokes solve on the solver's mesh; x (4*n_local) is the
+/// initial guess and result. The buoyancy right-hand side is built once,
+/// and every iteration update()s the solver with the viscosity at the
+/// current velocity, so the AMG hierarchies the solver holds are reused
+/// across iterations and across calls.
+PicardResult solve_nonlinear_stokes(par::Comm& comm, StokesSolver& solver,
                                     const ViscosityLaw& law,
                                     std::span<const double> temperature,
                                     std::span<double> x,
-                                    const PicardOptions& opt,
-                                    amg::HierarchyCache* cache = nullptr);
+                                    const PicardOptions& opt);
 
 }  // namespace alps::stokes

@@ -1,6 +1,6 @@
 #include "stokes/stokes.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <optional>
 
 #include "obs/obs.hpp"
@@ -8,27 +8,37 @@
 
 namespace alps::stokes {
 
+StokesSolver::StokesSolver(const Mesh& m, const forest::Connectivity& conn,
+                           const StokesOptions& opt)
+    : mesh_(&m), conn_(&conn), opt_(opt), op_(m, opt.bc), poisson_(&m, 1),
+      cache_(&own_cache_),
+      schur_diag_(static_cast<std::size_t>(m.n_local)),
+      comp_b_(static_cast<std::size_t>(m.n_owned)),
+      comp_x_(static_cast<std::size_t>(m.n_owned)) {}
+
 StokesSolver::StokesSolver(par::Comm& comm, const Mesh& m,
                            const forest::Connectivity& conn,
                            std::span<const double> eta_quad,
                            const StokesOptions& opt,
                            amg::HierarchyCache* cache)
-    : mesh_(&m), opt_(opt), cache_(cache != nullptr ? cache : &own_cache_) {
+    : StokesSolver(m, conn, opt) {
+  if (cache != nullptr) cache_ = cache;
+  update(comm, eta_quad);
+}
+
+void StokesSolver::update(par::Comm& comm, std::span<const double> eta_quad) {
   // An optional span lets assemble and amg.setup own disjoint phase
   // windows without nesting (nesting would double-count the phase
   // seconds).
   std::optional<obs::Span> phase_span;
   phase_span.emplace("stokes.assemble", obs::Cat::kPhase);
+  const Mesh& m = *mesh_;
   const std::size_t ne = m.elements.size();
 
-  op_ = std::make_unique<fem::StokesOperator>(m, opt_.bc);
-  // The variable-viscosity Poisson operator shared by the three velocity
-  // hierarchies; only its Dirichlet mask differs between components.
-  fem::ElementOperator poisson(&m, 1);
-  schur_diag_.assign(static_cast<std::size_t>(m.n_local), 0.0);
+  std::fill(schur_diag_.begin(), schur_diag_.end(), 0.0);
 
   for (std::size_t e = 0; e < ne; ++e) {
-    const fem::ElemGeom g = fem::element_geometry(m, conn, e);
+    const fem::ElemGeom g = fem::element_geometry(m, *conn_, e);
     const fem::MappedQuad mq = fem::map_element(g);
     std::array<double, fem::kQuad> eq;
     double eta_bar = 0.0;
@@ -38,11 +48,11 @@ StokesSolver::StokesSolver(par::Comm& comm, const Mesh& m,
     }
     eta_bar /= fem::kQuad;
 
-    op_->set_element(e, mq, eq);
+    op_.set_element(e, mq, eq);
     const fem::Mat8 kpois = fem::stiffness(mq, eq);
     const std::array<double, 8> lm = fem::lumped_mass(mq);
 
-    std::span<double> pm = poisson.element_matrix(e);
+    std::span<double> pm = poisson_.element_matrix(e);
     for (int i = 0; i < 8; ++i)
       for (int j = 0; j < 8; ++j)
         pm[static_cast<std::size_t>(i) * 8 + static_cast<std::size_t>(j)] =
@@ -66,57 +76,30 @@ StokesSolver::StokesSolver(par::Comm& comm, const Mesh& m,
   // Dirichlet rows (the saddle operator's velocity_dirichlet set).
   const auto assemble_component = [&](int c) {
     for (std::int64_t d = 0; d < m.n_local; ++d)
-      poisson.set_dirichlet(
+      poisson_.set_dirichlet(
           d, 0,
           fem::velocity_dirichlet(m.dof_boundary[static_cast<std::size_t>(d)],
                                   c, opt_.bc));
-    return poisson.assemble_dist(comm);
+    return poisson_.assemble_dist(comm);
   };
-  amg::HierarchyCache& hc = *cache_;
-  const bool reusable = hc.valid();
-  // Viscosity-drift full skip: when the quadrature viscosity has moved
-  // less than the tolerance (relative l2, global) since the hierarchies
-  // were last built, keep them untouched. The allreduce makes the
-  // decision collectively consistent.
-  bool skip = false;
-  if (reusable && opt_.reuse.viscosity_drift_tol > 0.0 &&
-      hc.eta_snapshot.size() == eta_quad.size()) {
-    double num = 0.0, den = 0.0;
-    for (std::size_t i = 0; i < eta_quad.size(); ++i) {
-      const double d = eta_quad[i] - hc.eta_snapshot[i];
-      num += d * d;
-      den += hc.eta_snapshot[i] * hc.eta_snapshot[i];
-    }
-    num = comm.allreduce_sum(num);
-    den = comm.allreduce_sum(den);
-    skip = den > 0.0 && std::sqrt(num / den) <= opt_.reuse.viscosity_drift_tol;
-  }
-  if (!reusable) {
+  auto& hier = cache_->amg;
+  if (hier[0] == nullptr) {
     for (int c = 0; c < 3; ++c) {
       // Owned-row distributed assembly + distributed hierarchy: per-rank
       // setup and apply cost is O(N_local), the paper's scalability claim.
-      hc.amg[static_cast<std::size_t>(c)] =
+      hier[static_cast<std::size_t>(c)] =
           std::make_unique<amg::DistAmg>(comm, assemble_component(c));
     }
-    hc.mark_built();
-    ++hc.stats.full_setups;
     obs::counter_add(obs::wellknown::amg_setup_full(), 1);
-  } else if (!skip) {
-    // Mesh unchanged since the last build: C/F split, interpolation, and
-    // the RAP symbolic structure are still exact; only operator values
-    // moved with the viscosity.
-    for (int c = 0; c < 3; ++c)
-      hc.amg[static_cast<std::size_t>(c)]->refresh_numeric(
-          comm, assemble_component(c));
-    ++hc.stats.numeric_refreshes;
-    obs::counter_add(obs::wellknown::amg_setup_numeric(), 1);
   } else {
-    ++hc.stats.skipped;
-    obs::counter_add(obs::wellknown::amg_setup_skipped(), 1);
+    // Same mesh as the build: C/F split, interpolation, and the RAP
+    // symbolic structure are still exact; only operator values moved
+    // with the viscosity.
+    for (int c = 0; c < 3; ++c)
+      hier[static_cast<std::size_t>(c)]->refresh_numeric(
+          comm, assemble_component(c));
+    obs::counter_add(obs::wellknown::amg_setup_numeric(), 1);
   }
-  if (!skip) hc.eta_snapshot.assign(eta_quad.begin(), eta_quad.end());
-  comp_b_.resize(static_cast<std::size_t>(m.n_owned));
-  comp_x_.resize(static_cast<std::size_t>(m.n_owned));
 }
 
 void StokesSolver::apply_preconditioner(par::Comm& comm,
@@ -147,7 +130,7 @@ la::SolveResult StokesSolver::solve(par::Comm& comm,
                                     std::span<const double> rhs,
                                     std::span<double> x) {
   OBS_PHASE_SPAN("stokes.minres");
-  la::LinOp aop = op_->as_linop(comm);
+  la::LinOp aop = op_.as_linop(comm);
   la::LinOp pre = preconditioner(comm);
   // Keep a residual history by default so the flight recorder always has
   // the last few MINRES convergence curves (identical on all ranks; only
@@ -155,7 +138,7 @@ la::SolveResult StokesSolver::solve(par::Comm& comm,
   la::KrylovOptions kopt = opt_.krylov;
   if (kopt.history_capacity == 0) kopt.history_capacity = 64;
   la::SolveResult r =
-      la::minres(aop, rhs, x, pre, op_->as_multi_dot(comm), kopt);
+      la::minres(aop, rhs, x, pre, op_.as_multi_dot(comm), kopt);
   if (comm.rank() == 0)
     obs::record_history("stokes.minres.relres", r.residual_history);
 

@@ -1,7 +1,6 @@
 // Tests for the amortized AMG setup: distributed two-pass Galerkin
 // product vs a replicated serial triple product, numeric hierarchy
-// refresh (DistAmg::refresh_numeric) parity with a fresh setup, and the
-// Stokes-level HierarchyCache policy.
+// refresh (DistAmg::refresh_numeric) parity with a fresh setup.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 
 #include "amg/amg.hpp"
 #include "amg/dist_amg.hpp"
-#include "amg/hierarchy_cache.hpp"
 #include "la/dist_csr.hpp"
 #include "par/runtime.hpp"
 
@@ -202,26 +200,6 @@ TEST(DistAmgReuse, RefreshRejectsStructuralMismatch) {
     amg::DistAmg amg(c, distribute(c, a1));
     EXPECT_THROW(amg.refresh_numeric(c, distribute(c, a2)), std::logic_error);
   });
-}
-
-// ---- hierarchy cache -------------------------------------------------------
-
-TEST(HierarchyCache, EpochInvalidatesAndStatsStayDeterministic) {
-  amg::HierarchyCache cache;
-  EXPECT_FALSE(cache.valid());
-  cache.mark_built();
-  // mark_built alone is not enough: there must be hierarchies.
-  EXPECT_FALSE(cache.valid());
-  const Csr ref = laplace_3d(6);
-  alps::par::run(1, [&ref, &cache](Comm& c) {
-    for (auto& a : cache.amg)
-      a = std::make_unique<amg::DistAmg>(c, distribute(c, ref));
-  });
-  cache.mark_built();
-  EXPECT_TRUE(cache.valid());
-  cache.bump_epoch();
-  EXPECT_FALSE(cache.valid());
-  EXPECT_EQ(cache.amg[0], nullptr);  // hierarchies freed on invalidation
 }
 
 }  // namespace

@@ -294,6 +294,34 @@ TEST_P(RheaRanks, SmallMantleConvectionRunsStably) {
   });
 }
 
+TEST_P(RheaRanks, StokesHierarchiesAreBuiltOncePerMesh) {
+  // One Stokes solver per mesh: the AMG hierarchies are built by the
+  // first Picard iteration on the initial mesh and after each adaptation,
+  // and every other Picard iteration refreshes them numerically.
+  alps::par::run(GetParam(), [](Comm& c) {
+    SimConfig cfg = convection_config();
+    cfg.stokes_every = 1;  // every step after the first solves
+    Simulation sim(c, cfg);
+    sim.initialize(convection_t0);
+    std::int64_t picard = sim.last_stokes().iterations;
+    for (int s = 0; s < 7; ++s) {
+      sim.run(1);
+      if (sim.steps_taken() > 1) picard += sim.last_stokes().iterations;
+    }
+    const auto k = static_cast<std::int64_t>(sim.adapt_history().size());
+    ASSERT_GE(k, 2);
+    const auto count = [&c](obs::CounterId id) {
+      return static_cast<std::int64_t>(obs::counter_value(c.rank(), id));
+    };
+    namespace wk = obs::wellknown;
+    EXPECT_EQ(count(wk::amg_setup_full()), 1 + k) << "rank " << c.rank();
+    EXPECT_EQ(count(wk::amg_setup_numeric()),
+              picard - count(wk::amg_setup_full()))
+        << "rank " << c.rank();
+    EXPECT_EQ(count(wk::amg_setup_skipped()), 0);
+  });
+}
+
 TEST_P(RheaRanks, TracedSolverSpansMatchTheirHistograms) {
 #ifdef ALPS_OBS_DISABLE
   GTEST_SKIP() << "span macros are compiled out";

@@ -36,7 +36,12 @@ namespace {
 
 class ServeTest : public ::testing::Test {
  protected:
-  void SetUp() override { obs::set_analysis_enabled(true); }
+  void SetUp() override {
+    // Start healthy even after a test outside this fixture (a sentinel
+    // trip) left the sticky unhealthy mark behind in the same process.
+    obs::metrics_reset_for_testing();
+    obs::set_analysis_enabled(true);
+  }
   void TearDown() override {
     obs::serve_stop();
     obs::metrics_reset_for_testing();

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <string>
 
+#include "obs/obs.hpp"
 #include "rhea/viscosity.hpp"
 #include "stokes/picard.hpp"
 #include "par/runtime.hpp"
@@ -233,8 +234,9 @@ TEST(Picard, YieldingLawConverges) {
     rhea::YieldingLawOptions yopt;
     yopt.sigma_y = 10.0;
     std::vector<double> x(static_cast<std::size_t>(m.n_local) * 4, 0.0);
+    StokesSolver solver(m, f.connectivity(), popt.stokes);
     stokes::PicardResult r = stokes::solve_nonlinear_stokes(
-        c, m, f.connectivity(), rhea::three_layer_yielding(yopt), t, x, popt);
+        c, solver, rhea::three_layer_yielding(yopt), t, x, popt);
     EXPECT_GE(r.iterations, 2);
     EXPECT_LT(r.velocity_change, 1e-2);
   });
@@ -252,41 +254,28 @@ TEST(Picard, HierarchyCacheReusesSetupAcrossIterationsAndSolves) {
     popt.stokes.krylov.max_iterations = 300;
     rhea::YieldingLawOptions yopt;
     yopt.sigma_y = 10.0;
-    amg::HierarchyCache cache;
+    StokesSolver solver(m, f.connectivity(), popt.stokes);
+    // This rank's setup counters: the solver's hierarchies are built once
+    // and refreshed numerically by every later update().
+    const auto setups = [&c](obs::CounterId id) {
+      return static_cast<std::int64_t>(obs::counter_value(c.rank(), id));
+    };
+    namespace wk = obs::wellknown;
     std::vector<double> x(static_cast<std::size_t>(m.n_local) * 4, 0.0);
     stokes::PicardResult r = stokes::solve_nonlinear_stokes(
-        c, m, f.connectivity(), rhea::three_layer_yielding(yopt), t, x, popt,
-        &cache);
+        c, solver, rhea::three_layer_yielding(yopt), t, x, popt);
     ASSERT_GE(r.iterations, 2);
-    // Deterministic reuse accounting: exactly one symbolic setup, every
-    // later iteration a numeric-only refresh.
-    EXPECT_EQ(cache.stats.full_setups, 1);
-    EXPECT_EQ(cache.stats.numeric_refreshes,
-              static_cast<std::int64_t>(r.iterations) - 1);
-    EXPECT_EQ(cache.stats.skipped, 0);
+    EXPECT_EQ(setups(wk::amg_setup_full()), 1);
+    EXPECT_EQ(setups(wk::amg_setup_numeric()), r.iterations - 1);
 
-    // A second solve on the same mesh reuses the structure too: no new
-    // symbolic setup, one more numeric refresh per iteration.
+    // A second solve with the same solver reuses the structure too: no
+    // new symbolic setup, one more numeric refresh per iteration.
     stokes::PicardResult rb = stokes::solve_nonlinear_stokes(
-        c, m, f.connectivity(), rhea::three_layer_yielding(yopt), t, x, popt,
-        &cache);
-    EXPECT_EQ(cache.stats.full_setups, 1);
-    EXPECT_EQ(cache.stats.numeric_refreshes,
-              static_cast<std::int64_t>(r.iterations + rb.iterations) - 1);
-
-    // A large drift tolerance turns every reuse into a full skip.
-    cache.bump_epoch();
-    stokes::PicardOptions lazy = popt;
-    lazy.stokes.reuse.viscosity_drift_tol = 1e9;
-    stokes::PicardResult r2 = stokes::solve_nonlinear_stokes(
-        c, m, f.connectivity(), rhea::three_layer_yielding(yopt), t, x, lazy,
-        &cache);
-    EXPECT_EQ(cache.stats.full_setups, 2);
-    EXPECT_EQ(cache.stats.skipped, static_cast<std::int64_t>(r2.iterations) - 1);
-
-    // Epoch bump invalidates: the next solve must rebuild from scratch.
-    cache.bump_epoch();
-    EXPECT_FALSE(cache.valid());
+        c, solver, rhea::three_layer_yielding(yopt), t, x, popt);
+    EXPECT_EQ(setups(wk::amg_setup_full()), 1);
+    EXPECT_EQ(setups(wk::amg_setup_numeric()),
+              r.iterations + rb.iterations - 1);
+    EXPECT_EQ(setups(wk::amg_setup_skipped()), 0);
   });
 }
 
@@ -344,6 +333,62 @@ TEST(StokesSolver, VelocityHierarchiesShareOnePoissonOperator) {
             EXPECT_EQ(g->rowptr(), w->rowptr());
             EXPECT_EQ(g->colidx(), w->colidx());
             EXPECT_EQ(g->values(), w->values());
+          }
+        }
+      }
+    });
+}
+
+TEST(StokesSolver, UpdateMatchesConstructionOnWarmHierarchies) {
+  // update() on a built solver must leave exactly the state a solver
+  // constructed with the new viscosity on hierarchies warmed by the old
+  // one holds: same saddle operator, same preconditioner (Schur diagonal
+  // included, so update() must clear it before accumulating), same
+  // refreshed AMG levels, bit for bit.
+  for (const int p : {1, 2})
+    alps::par::run(p, [](Comm& c) {
+      const Forest f = test::adapted_forest(c, Connectivity::brick(2, 1, 1), 2,
+                                            {1.0, 0.5, 0.5}, 0.1);
+      const Mesh m = extract_mesh(c, f);
+      const Connectivity& conn = f.connectivity();
+      const std::vector<double> eta1 = varying_eta(m, conn);
+      std::vector<double> eta2 = eta1;
+      for (std::size_t i = 0; i < eta2.size(); ++i)
+        eta2[i] *= 1.0 + 0.5 * std::sin(0.1 * static_cast<double>(i));
+      const std::vector<double> x = gid_field(m);
+      for (const fem::VelocityBc bc :
+           {fem::VelocityBc::kFreeSlip, fem::VelocityBc::kNoSlip}) {
+        SCOPED_TRACE("P = " + std::to_string(c.size()) +
+                     (bc == fem::VelocityBc::kNoSlip ? ", no-slip"
+                                                     : ", free-slip"));
+        StokesOptions opt;
+        opt.bc = bc;
+        StokesSolver updated(c, m, conn, eta1, opt);
+        updated.update(c, eta2);
+        // A fresh solver per viscosity, on hierarchies another solver
+        // built on the same mesh (the external-cache path).
+        amg::HierarchyCache cache;
+        { const StokesSolver warm(c, m, conn, eta1, opt, &cache); }
+        StokesSolver built(c, m, conn, eta2, opt, &cache);
+
+        std::vector<double> y1(x.size()), y2(x.size());
+        updated.op().apply(c, x, y1);
+        built.op().apply(c, x, y2);
+        EXPECT_EQ(y1, y2) << "saddle operator";
+        updated.preconditioner(c)(x, y1);
+        built.preconditioner(c)(x, y2);
+        EXPECT_EQ(y1, y2) << "preconditioner";
+        for (int comp = 0; comp < 3; ++comp) {
+          const amg::DistAmg& a1 = updated.velocity_amg(comp);
+          const amg::DistAmg& a2 = built.velocity_amg(comp);
+          ASSERT_EQ(a1.num_grid_levels(), a2.num_grid_levels());
+          for (int l = 0; l < a1.num_grid_levels(); ++l) {
+            const la::Csr m1 = a1.matrix(l).replicate(c);
+            const la::Csr m2 = a2.matrix(l).replicate(c);
+            EXPECT_EQ(m1.rowptr(), m2.rowptr());
+            EXPECT_EQ(m1.colidx(), m2.colidx());
+            EXPECT_EQ(m1.values(), m2.values())
+                << "component " << comp << ", level " << l;
           }
         }
       }
