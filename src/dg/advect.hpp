@@ -74,7 +74,6 @@ class DgAdvection {
 
   /// Flops spent in element derivative kernels since construction.
   std::int64_t kernel_flops() const { return kernel_flops_; }
-  bool uses_matrix_kernel() const { return use_matrix_kernel_; }
 
  private:
   struct Located {

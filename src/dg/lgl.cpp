@@ -71,17 +71,6 @@ std::vector<double> lagrange_at(const LglRule& rule, double x) {
   return l;
 }
 
-std::vector<double> interpolation_matrix(const LglRule& rule,
-                                         const std::vector<double>& points) {
-  const std::size_t np = rule.nodes.size();
-  std::vector<double> out(points.size() * np);
-  for (std::size_t k = 0; k < points.size(); ++k) {
-    const std::vector<double> l = lagrange_at(rule, points[k]);
-    for (std::size_t j = 0; j < np; ++j) out[k * np + j] = l[j];
-  }
-  return out;
-}
-
 std::vector<double> differentiation_matrix(const LglRule& rule) {
   const std::size_t np = rule.nodes.size();
   const std::vector<double>& x = rule.nodes;

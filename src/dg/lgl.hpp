@@ -23,11 +23,6 @@ LglRule lgl_rule(int order);
 /// row-major (p+1)^2.
 std::vector<double> differentiation_matrix(const LglRule& rule);
 
-/// Lagrange interpolation matrix from the LGL nodes to arbitrary points:
-/// I[k][j] = l_j(points[k]), row-major (npoints x (p+1)).
-std::vector<double> interpolation_matrix(const LglRule& rule,
-                                         const std::vector<double>& points);
-
 /// Evaluate the Lagrange basis {l_j} of the rule at a single point.
 std::vector<double> lagrange_at(const LglRule& rule, double x);
 

@@ -24,19 +24,11 @@ EnergySolver::EnergySolver(par::Comm& comm, const Mesh& m,
     const fem::MappedQuad mq = fem::map_element(g);
     jxw_[e] = mq.jxw;
     double speed2 = 0.0;
-    for (int i = 0; i < 8; ++i) {
-      const mesh::Corner& cc = m.corners[e][static_cast<std::size_t>(i)];
-      for (int c = 0; c < 3; ++c) {
-        double v = 0.0;
-        for (int k = 0; k < cc.n; ++k)
-          v += cc.w[static_cast<std::size_t>(k)] *
-               velocity[static_cast<std::size_t>(
-                            cc.dof[static_cast<std::size_t>(k)]) * 4 +
-                        static_cast<std::size_t>(c)];
-        ue[static_cast<std::size_t>(i)][static_cast<std::size_t>(c)] = v;
-        speed2 += v * v;
+    for (std::size_t i = 0; i < 8; ++i)
+      for (std::size_t c = 0; c < 3; ++c) {
+        ue[i][c] = mesh::gather(m.corners[e][i], velocity, 4, c);
+        speed2 += ue[i][c] * ue[i][c];
       }
-    }
     const double speed = std::sqrt(speed2 / 8.0);
     double vol = 0.0;
     for (double w : mq.jxw) vol += w;
@@ -52,15 +44,14 @@ EnergySolver::EnergySolver(par::Comm& comm, const Mesh& m,
             advect[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
 
     const std::array<double, 8> lm = fem::lumped_mass(mq);
-    for (int i = 0; i < 8; ++i) {
-      const mesh::Corner& cc = m.corners[e][static_cast<std::size_t>(i)];
-      for (int k = 0; k < cc.n; ++k) {
-        lumped_[static_cast<std::size_t>(cc.dof[static_cast<std::size_t>(k)])] +=
-            cc.w[static_cast<std::size_t>(k)] * lm[static_cast<std::size_t>(i)];
-        source_[static_cast<std::size_t>(cc.dof[static_cast<std::size_t>(k)])] +=
-            cc.w[static_cast<std::size_t>(k)] * lm[static_cast<std::size_t>(i)] *
-            opt_.heat_source;
-      }
+    for (std::size_t i = 0; i < 8; ++i) {
+      const mesh::Corner& cc = m.corners[e][i];
+      mesh::scatter_add(cc, lm[i], lumped_);
+      // Rounded (w * lm) * q; scatter_add(cc, lm[i] * q) would round
+      // w * (lm * q).
+      for (std::size_t k = 0; k < static_cast<std::size_t>(cc.n); ++k)
+        source_[static_cast<std::size_t>(cc.dof[k])] +=
+            cc.w[k] * lm[i] * opt_.heat_source;
     }
 
     // Explicit step limits: advective h/|u| and diffusive h^2/(6 kappa).

@@ -286,8 +286,28 @@ void ElementOperator::lift_bcs(par::Comm& comm, std::span<const double> g,
 
 std::vector<la::Triplet> ElementOperator::local_triplets() const {
   const std::size_t nc = static_cast<std::size_t>(ncomp_);
-  std::vector<la::Triplet> trips;
   const std::size_t bs = block_size();
+  // Size the vector once: an element with s free (master, component)
+  // pairs emits at most s * s triplets (exactly that many unless an
+  // element-matrix entry is 0), and growing a multi-MB vector by doubling
+  // leaves its freed halves behind as heap fragmentation.
+  std::size_t bound = 0;
+  for (std::size_t e = 0; e < mesh_->elements.size(); ++e) {
+    std::size_t s = 0;
+    for (const mesh::Corner& cc : mesh_->corners[e])
+      for (int k = 0; k < cc.n; ++k)
+        for (std::size_t a = 0; a < nc; ++a)
+          s += dirichlet_[static_cast<std::size_t>(
+                              cc.dof[static_cast<std::size_t>(k)]) * nc + a]
+                   ? 0
+                   : 1;
+    bound += s * s;
+  }
+  for (std::size_t i = 0; i < static_cast<std::size_t>(mesh_->n_owned) * nc;
+       ++i)
+    bound += dirichlet_[i] ? 1 : 0;
+  std::vector<la::Triplet> trips;
+  trips.reserve(bound);
   for (std::size_t e = 0; e < mesh_->elements.size(); ++e) {
     const std::span<const double> m = element_matrix(e);
     for (int i = 0; i < 8; ++i) {

@@ -49,24 +49,6 @@ ElementOperator build_mass(const mesh::Mesh& m,
   return op;
 }
 
-std::vector<double> build_lumped_mass(par::Comm& comm, const mesh::Mesh& m,
-                                      const forest::Connectivity& conn) {
-  std::vector<double> lm(static_cast<std::size_t>(m.n_local), 0.0);
-  for (std::size_t e = 0; e < m.elements.size(); ++e) {
-    const MappedQuad mq = map_element(element_geometry(m, conn, e));
-    const std::array<double, 8> le = lumped_mass(mq);
-    for (int i = 0; i < 8; ++i) {
-      const mesh::Corner& cc = m.corners[e][static_cast<std::size_t>(i)];
-      for (int k = 0; k < cc.n; ++k)
-        lm[static_cast<std::size_t>(cc.dof[static_cast<std::size_t>(k)])] +=
-            cc.w[static_cast<std::size_t>(k)] * le[static_cast<std::size_t>(i)];
-    }
-  }
-  m.accumulate(comm, lm);
-  m.exchange(comm, lm);
-  return lm;
-}
-
 std::vector<double> interpolate(
     const mesh::Mesh& m,
     const std::function<double(const std::array<double, 3>&)>& f) {

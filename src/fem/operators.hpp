@@ -29,11 +29,6 @@ ElementOperator build_scalar_laplace(const mesh::Mesh& m,
 ElementOperator build_mass(const mesh::Mesh& m,
                            const forest::Connectivity& conn);
 
-/// Globally-assembled row-sum lumped mass (one value per local dof,
-/// ghost-consistent). Collective.
-std::vector<double> build_lumped_mass(par::Comm& comm, const mesh::Mesh& m,
-                                      const forest::Connectivity& conn);
-
 /// Nodal interpolation of an analytic function into dof values
 /// (n_local * 1 entries).
 std::vector<double> interpolate(const mesh::Mesh& m,

@@ -63,12 +63,6 @@ class Csr {
 };
 
 // ---- small vector helpers (local, no communication) ----------------------
-inline void axpy(double a, std::span<const double> x, std::span<double> y) {
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += a * x[i];
-}
-inline void scale(double a, std::span<double> x) {
-  for (double& v : x) v *= a;
-}
 inline double local_dot(std::span<const double> a, std::span<const double> b) {
   double s = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];

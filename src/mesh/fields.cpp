@@ -25,16 +25,9 @@ std::vector<double> to_element_values(const Mesh& m,
   if (static_cast<std::int64_t>(nodal.size()) != m.n_local)
     throw std::invalid_argument("to_element_values: nodal size mismatch");
   std::vector<double> evals(m.elements.size() * 8);
-  for (std::size_t e = 0; e < m.elements.size(); ++e) {
-    for (int c = 0; c < 8; ++c) {
-      const Corner& cc = m.corners[e][static_cast<std::size_t>(c)];
-      double v = 0.0;
-      for (int i = 0; i < cc.n; ++i)
-        v += cc.w[static_cast<std::size_t>(i)] *
-             nodal[static_cast<std::size_t>(cc.dof[static_cast<std::size_t>(i)])];
-      evals[8 * e + static_cast<std::size_t>(c)] = v;
-    }
-  }
+  for (std::size_t e = 0; e < m.elements.size(); ++e)
+    for (std::size_t c = 0; c < 8; ++c)
+      evals[8 * e + c] = gather(m.corners[e][c], nodal);
   return evals;
 }
 

@@ -45,6 +45,29 @@ struct Corner {
   std::array<double, 4> w{};
 };
 
+/// One row of the constraint gather `C x`: the value of component `c` of
+/// a field with `stride` doubles per local dof at corner `cc`, summed over
+/// its masters in order. Ghost entries of `x` must be current. The scalar
+/// element loops all gather through this, so they round alike.
+inline double gather(const Corner& cc, std::span<const double> x,
+                     std::size_t stride = 1, std::size_t c = 0) {
+  double v = 0.0;
+  for (int k = 0; k < cc.n; ++k)
+    v += cc.w[static_cast<std::size_t>(k)] *
+         x[static_cast<std::size_t>(cc.dof[static_cast<std::size_t>(k)]) *
+               stride + c];
+  return v;
+}
+
+/// The transpose `Cᵀ`: add w_k * v into component `c` of each master's
+/// entry of `y`. Ghost entries need Mesh::accumulate afterwards.
+inline void scatter_add(const Corner& cc, double v, std::span<double> y,
+                        std::size_t stride = 1, std::size_t c = 0) {
+  for (int k = 0; k < cc.n; ++k)
+    y[static_cast<std::size_t>(cc.dof[static_cast<std::size_t>(k)]) * stride +
+      c] += cc.w[static_cast<std::size_t>(k)] * v;
+}
+
 class Mesh {
  public:
   // ---- elements ---------------------------------------------------------

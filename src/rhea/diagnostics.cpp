@@ -20,24 +20,11 @@ DiagnosticSums diagnostic_partials(
   DiagnosticSums s;
   std::array<double, 8> te, ue[3];
   for (std::size_t e = 0; e < m.elements.size(); ++e) {
-    // Gather nodal values through the hanging-node constraints.
-    for (int i = 0; i < 8; ++i) {
-      const mesh::Corner& cc = m.corners[e][static_cast<std::size_t>(i)];
-      double t = 0.0;
-      std::array<double, 3> u{};
-      for (int k = 0; k < cc.n; ++k) {
-        const std::size_t d =
-            static_cast<std::size_t>(cc.dof[static_cast<std::size_t>(k)]);
-        const double w = cc.w[static_cast<std::size_t>(k)];
-        t += w * temperature[d];
-        for (int c = 0; c < 3; ++c)
-          u[static_cast<std::size_t>(c)] +=
-              w * solution[4 * d + static_cast<std::size_t>(c)];
-      }
-      te[static_cast<std::size_t>(i)] = t;
-      for (int c = 0; c < 3; ++c)
-        ue[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)] =
-            u[static_cast<std::size_t>(c)];
+    for (std::size_t i = 0; i < 8; ++i) {
+      const mesh::Corner& cc = m.corners[e][i];
+      te[i] = mesh::gather(cc, temperature);
+      for (std::size_t c = 0; c < 3; ++c)
+        ue[c][i] = mesh::gather(cc, solution, 4, c);
     }
     for (int q = 0; q < fem::kQuad; ++q) {
       double tq = 0.0;

@@ -1,5 +1,6 @@
 #include "rhea/indicator.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "energy/energy.hpp"
@@ -10,41 +11,29 @@ namespace alps::rhea {
 
 namespace {
 
-/// Element L2 norm of the gradient of a nodal field, and element size.
-void element_gradient_norms(const mesh::Mesh& m,
-                            const forest::Connectivity& conn,
-                            std::span<const double> field,
-                            std::vector<double>& norms,
-                            std::vector<double>& sizes) {
-  norms.assign(m.elements.size(), 0.0);
-  sizes.assign(m.elements.size(), 0.0);
+/// Element e's L2 norm of the gradient of a nodal field, and its size
+/// h = vol^(1/3), from the element's mapped quadrature.
+struct GradientNorm {
+  double norm = 0.0;
+  double h = 0.0;
+};
+
+GradientNorm gradient_norm(const mesh::Mesh& m, std::size_t e,
+                           const fem::MappedQuad& mq,
+                           std::span<const double> field) {
   std::array<double, 8> fe;
-  for (std::size_t e = 0; e < m.elements.size(); ++e) {
-    const fem::MappedQuad mq =
-        fem::map_element(fem::element_geometry(m, conn, e));
-    for (int i = 0; i < 8; ++i) {
-      const mesh::Corner& cc = m.corners[e][static_cast<std::size_t>(i)];
-      fe[static_cast<std::size_t>(i)] = 0.0;
-      for (int k = 0; k < cc.n; ++k)
-        fe[static_cast<std::size_t>(i)] +=
-            cc.w[static_cast<std::size_t>(k)] *
-            field[static_cast<std::size_t>(cc.dof[static_cast<std::size_t>(k)])];
-    }
-    double g2 = 0.0, vol = 0.0;
-    for (int q = 0; q < fem::kQuad; ++q) {
-      double grad[3] = {};
-      for (int i = 0; i < 8; ++i)
-        for (int d = 0; d < 3; ++d)
-          grad[d] += fe[static_cast<std::size_t>(i)] *
-                     mq.dn[static_cast<std::size_t>(q)][static_cast<std::size_t>(i)]
-                          [static_cast<std::size_t>(d)];
-      const double w = mq.jxw[static_cast<std::size_t>(q)];
-      g2 += w * (grad[0] * grad[0] + grad[1] * grad[1] + grad[2] * grad[2]);
-      vol += w;
-    }
-    norms[e] = std::sqrt(g2);
-    sizes[e] = std::cbrt(vol);
+  for (std::size_t i = 0; i < 8; ++i)
+    fe[i] = mesh::gather(m.corners[e][i], field);
+  double g2 = 0.0, vol = 0.0;
+  for (std::size_t q = 0; q < fem::kQuad; ++q) {
+    double grad[3] = {};
+    for (std::size_t i = 0; i < 8; ++i)
+      for (std::size_t d = 0; d < 3; ++d) grad[d] += fe[i] * mq.dn[q][i][d];
+    const double w = mq.jxw[q];
+    g2 += w * (grad[0] * grad[0] + grad[1] * grad[1] + grad[2] * grad[2]);
+    vol += w;
   }
+  return {std::sqrt(g2), std::cbrt(vol)};
 }
 
 }  // namespace
@@ -52,33 +41,12 @@ void element_gradient_norms(const mesh::Mesh& m,
 std::vector<double> gradient_indicator(const mesh::Mesh& m,
                                        const forest::Connectivity& conn,
                                        std::span<const double> temperature) {
-  std::vector<double> eta(m.elements.size(), 0.0);
-  std::array<double, 8> te;
-  for (std::size_t e = 0; e < m.elements.size(); ++e) {
-    const fem::MappedQuad mq =
-        fem::map_element(fem::element_geometry(m, conn, e));
-    for (int i = 0; i < 8; ++i) {
-      const mesh::Corner& cc = m.corners[e][static_cast<std::size_t>(i)];
-      te[static_cast<std::size_t>(i)] = 0.0;
-      for (int k = 0; k < cc.n; ++k)
-        te[static_cast<std::size_t>(i)] +=
-            cc.w[static_cast<std::size_t>(k)] *
-            temperature[static_cast<std::size_t>(cc.dof[static_cast<std::size_t>(k)])];
-    }
-    double g2 = 0.0, vol = 0.0;
-    for (int q = 0; q < fem::kQuad; ++q) {
-      double grad[3] = {};
-      for (int i = 0; i < 8; ++i)
-        for (int d = 0; d < 3; ++d)
-          grad[d] += te[static_cast<std::size_t>(i)] *
-                     mq.dn[static_cast<std::size_t>(q)][static_cast<std::size_t>(i)]
-                          [static_cast<std::size_t>(d)];
-      const double w = mq.jxw[static_cast<std::size_t>(q)];
-      g2 += w * (grad[0] * grad[0] + grad[1] * grad[1] + grad[2] * grad[2]);
-      vol += w;
-    }
-    const double h = std::cbrt(vol);
-    eta[e] = std::pow(h, 1.5) * std::sqrt(g2);
+  std::vector<double> eta(m.elements.size());
+  for (std::size_t e = 0; e < eta.size(); ++e) {
+    const GradientNorm g = gradient_norm(
+        m, e, fem::map_element(fem::element_geometry(m, conn, e)),
+        temperature);
+    eta[e] = std::pow(g.h, 1.5) * g.norm;
   }
   return eta;
 }
@@ -88,16 +56,17 @@ std::vector<double> yielding_indicator(const mesh::Mesh& m,
                                        std::span<const double> temperature,
                                        std::span<const double> velocity,
                                        double strain_weight) {
-  std::vector<double> eta = gradient_indicator(m, conn, temperature);
-  const std::vector<double> edot =
-      stokes::strain_rate_invariant(m, conn, velocity);
-  for (std::size_t e = 0; e < m.elements.size(); ++e) {
-    const double vol = fem::element_volume(fem::element_geometry(m, conn, e));
-    const double h = std::cbrt(vol);
+  std::vector<double> eta(m.elements.size());
+  for (std::size_t e = 0; e < eta.size(); ++e) {
+    const fem::MappedQuad mq =
+        fem::map_element(fem::element_geometry(m, conn, e));
+    const GradientNorm g = gradient_norm(m, e, mq, temperature);
+    const std::array<double, fem::kQuad> edot =
+        stokes::element_strain_rate(m, e, mq, velocity);
     double emax = 0.0;
-    for (int q = 0; q < fem::kQuad; ++q)
-      emax = std::max(emax, edot[8 * e + static_cast<std::size_t>(q)]);
-    eta[e] += strain_weight * std::pow(h, 1.5) * emax;
+    for (double v : edot) emax = std::max(emax, v);
+    const double h15 = std::pow(g.h, 1.5);
+    eta[e] = h15 * g.norm + strain_weight * h15 * emax;
   }
   return eta;
 }
@@ -121,11 +90,13 @@ std::vector<double> adjoint_indicator(
   const double dt = adjoint.stable_dt(comm);
   for (int s = 0; s < pseudo_steps; ++s) adjoint.step(comm, lambda, dt);
 
-  std::vector<double> gt, gl, h, hl;
-  element_gradient_norms(m, conn, temperature, gt, h);
-  element_gradient_norms(m, conn, lambda, gl, hl);
   std::vector<double> eta(m.elements.size());
-  for (std::size_t e = 0; e < eta.size(); ++e) eta[e] = h[e] * gt[e] * gl[e];
+  for (std::size_t e = 0; e < eta.size(); ++e) {
+    const fem::MappedQuad mq =
+        fem::map_element(fem::element_geometry(m, conn, e));
+    const GradientNorm gt = gradient_norm(m, e, mq, temperature);
+    eta[e] = gt.h * gt.norm * gradient_norm(m, e, mq, lambda).norm;
+  }
   return eta;
 }
 

@@ -4,25 +4,13 @@
 
 namespace alps::stokes {
 
-namespace {
-
-/// Second invariant of the strain rate at element e's quadrature points,
-/// from its mapped quadrature and the velocity in the 4-comp vector x.
 std::array<double, fem::kQuad> element_strain_rate(
     const Mesh& m, std::size_t e, const fem::MappedQuad& mq,
     std::span<const double> x) {
   std::array<std::array<double, 3>, 8> ue;
-  for (int i = 0; i < 8; ++i) {
-    const mesh::Corner& cc = m.corners[e][static_cast<std::size_t>(i)];
-    for (int c = 0; c < 3; ++c) {
-      double v = 0.0;
-      for (int k = 0; k < cc.n; ++k)
-        v += cc.w[static_cast<std::size_t>(k)] *
-             x[static_cast<std::size_t>(cc.dof[static_cast<std::size_t>(k)]) * 4 +
-               static_cast<std::size_t>(c)];
-      ue[static_cast<std::size_t>(i)][static_cast<std::size_t>(c)] = v;
-    }
-  }
+  for (std::size_t i = 0; i < 8; ++i)
+    for (std::size_t c = 0; c < 3; ++c)
+      ue[i][c] = mesh::gather(m.corners[e][i], x, 4, c);
   std::array<double, fem::kQuad> edot;
   for (int q = 0; q < fem::kQuad; ++q) {
     double grad[3][3] = {};
@@ -45,8 +33,6 @@ std::array<double, fem::kQuad> element_strain_rate(
   }
   return edot;
 }
-
-}  // namespace
 
 std::vector<double> strain_rate_invariant(const Mesh& m,
                                           const forest::Connectivity& conn,
@@ -76,14 +62,8 @@ std::vector<double> evaluate_viscosity(const Mesh& m,
         fem::map_element(fem::element_geometry(m, conn, e));
     const std::array<double, fem::kQuad> edot =
         element_strain_rate(m, e, mq, x);
-    for (int i = 0; i < 8; ++i) {
-      const mesh::Corner& cc = m.corners[e][static_cast<std::size_t>(i)];
-      te[static_cast<std::size_t>(i)] = 0.0;
-      for (int k = 0; k < cc.n; ++k)
-        te[static_cast<std::size_t>(i)] +=
-            cc.w[static_cast<std::size_t>(k)] *
-            temperature[static_cast<std::size_t>(cc.dof[static_cast<std::size_t>(k)])];
-    }
+    for (std::size_t i = 0; i < 8; ++i)
+      te[i] = mesh::gather(m.corners[e][i], temperature);
     for (int q = 0; q < fem::kQuad; ++q) {
       double tq = 0.0;
       for (int i = 0; i < 8; ++i)
@@ -116,17 +96,18 @@ PicardResult solve_nonlinear_stokes(par::Comm& comm, StokesSolver& solver,
     result.solves.push_back(solver.solve(comm, rhs, x));
     result.iterations = it + 1;
 
-    // Relative change of velocity (owned entries).
-    double diff = 0.0, norm = 0.0;
+    // Relative change of velocity (owned entries); both sums travel in
+    // one allreduce.
+    std::array<double, 2> local{}, global{};
     for (std::int64_t d = 0; d < m.n_owned; ++d)
       for (int c = 0; c < 3; ++c) {
         const std::size_t i = static_cast<std::size_t>(d) * 4 +
                               static_cast<std::size_t>(c);
-        diff += (x[i] - prev[i]) * (x[i] - prev[i]);
-        norm += x[i] * x[i];
+        local[0] += (x[i] - prev[i]) * (x[i] - prev[i]);
+        local[1] += x[i] * x[i];
       }
-    diff = comm.allreduce_sum(diff);
-    norm = comm.allreduce_sum(norm);
+    comm.allreduce_sum(local, global);
+    const double diff = global[0], norm = global[1];
     result.velocity_change = norm > 0 ? std::sqrt(diff / norm) : 0.0;
     if (result.velocity_change < opt.tolerance) break;
     std::copy(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(4 * nl),

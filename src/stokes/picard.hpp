@@ -28,6 +28,15 @@ struct PicardResult {
   std::vector<la::SolveResult> solves;
 };
 
+/// Second invariant of the strain rate at element e's quadrature points,
+/// from the element's mapped quadrature and the velocity in the 4-comp
+/// vector x (ghosts current). The per-element kernel of
+/// strain_rate_invariant and evaluate_viscosity, exported so callers that
+/// already map an element (the yielding indicator) map it only once.
+std::array<double, fem::kQuad> element_strain_rate(
+    const Mesh& m, std::size_t e, const fem::MappedQuad& mq,
+    std::span<const double> x);
+
 /// Second invariant of the strain rate at each quadrature point (ne * 8)
 /// of the velocity in the 4-comp solution vector x.
 std::vector<double> strain_rate_invariant(const Mesh& m,

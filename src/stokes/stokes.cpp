@@ -58,7 +58,8 @@ void StokesSolver::update(par::Comm& comm, std::span<const double> eta_quad) {
         pm[static_cast<std::size_t>(i) * 8 + static_cast<std::size_t>(j)] =
             kpois[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
 
-    // Schur diagonal: inverse-viscosity-weighted lumped mass.
+    // Schur diagonal: inverse-viscosity-weighted lumped mass, rounded as
+    // (w * lm) / eta_bar, hence not mesh::scatter_add.
     for (int i = 0; i < 8; ++i) {
       const mesh::Corner& cc = m.corners[e][static_cast<std::size_t>(i)];
       for (int k = 0; k < cc.n; ++k)
@@ -159,31 +160,18 @@ std::vector<double> StokesSolver::buoyancy_rhs(
     std::span<const double> temperature, double rayleigh, int dir,
     const StokesOptions& opt) {
   std::vector<double> rhs(static_cast<std::size_t>(m.n_local) * 4, 0.0);
-  std::vector<double> te(8);
+  std::array<double, 8> te;
   for (std::size_t e = 0; e < m.elements.size(); ++e) {
     const fem::MappedQuad mq =
         fem::map_element(fem::element_geometry(m, conn, e));
     const fem::Mat8 mm = fem::mass(mq);
-    // Gather element temperatures through constraints.
-    for (int i = 0; i < 8; ++i) {
-      const mesh::Corner& cc = m.corners[e][static_cast<std::size_t>(i)];
-      te[static_cast<std::size_t>(i)] = 0.0;
-      for (int k = 0; k < cc.n; ++k)
-        te[static_cast<std::size_t>(i)] +=
-            cc.w[static_cast<std::size_t>(k)] *
-            temperature[static_cast<std::size_t>(cc.dof[static_cast<std::size_t>(k)])];
-    }
-    for (int i = 0; i < 8; ++i) {
+    for (std::size_t i = 0; i < 8; ++i)
+      te[i] = mesh::gather(m.corners[e][i], temperature);
+    for (std::size_t i = 0; i < 8; ++i) {
       double f = 0.0;
-      for (int j = 0; j < 8; ++j)
-        f += mm[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] *
-             te[static_cast<std::size_t>(j)];
-      f *= rayleigh;
-      const mesh::Corner& cc = m.corners[e][static_cast<std::size_t>(i)];
-      for (int k = 0; k < cc.n; ++k)
-        rhs[static_cast<std::size_t>(cc.dof[static_cast<std::size_t>(k)]) * 4 +
-            static_cast<std::size_t>(dir)] +=
-            cc.w[static_cast<std::size_t>(k)] * f;
+      for (std::size_t j = 0; j < 8; ++j) f += mm[i][j] * te[j];
+      mesh::scatter_add(m.corners[e][i], rayleigh * f, rhs, 4,
+                        static_cast<std::size_t>(dir));
     }
   }
   m.accumulate(comm, rhs, 4);

@@ -5,7 +5,7 @@
 
 #include <cmath>
 
-#include "amg/amg.hpp"
+#include "amg/dist_amg.hpp"
 #include "fem/operators.hpp"
 #include "par/runtime.hpp"
 
@@ -254,25 +254,20 @@ TEST_P(FemRanks, AmgPreconditionedCgOnAdaptedVariableViscosity) {
         m, f.connectivity(),
         [](const std::array<double, 3>& p) { return p[2] > 0.5 ? 1e4 : 1.0; },
         0b111111);
-    la::Csr global = op.assemble_global(c);
-    amg::Amg amg(global);
-    la::LinOp pre = [&amg, &m](std::span<const double> x, std::span<double> y) {
-      // Scatter to global, V-cycle, gather back: the serial-AMG stand-in.
-      std::vector<double> xg(static_cast<std::size_t>(m.n_global), 0.0);
-      for (std::int64_t i = 0; i < m.n_owned; ++i)
-        xg[static_cast<std::size_t>(m.dof_gids[static_cast<std::size_t>(i)])] =
-            x[static_cast<std::size_t>(i)];
-      std::vector<double> yg(static_cast<std::size_t>(m.n_global), 0.0);
-      // NOTE: single-rank only shortcut in this test (values complete).
-      std::vector<double> tmp = xg;
-      (void)tmp;
-      std::fill(yg.begin(), yg.end(), 0.0);
-      amg.vcycle(xg, yg);
-      for (std::int64_t i = 0; i < static_cast<std::int64_t>(y.size()); ++i)
-        y[static_cast<std::size_t>(i)] =
-            yg[static_cast<std::size_t>(m.dof_gids[static_cast<std::size_t>(i)])];
+    // One distributed V-cycle over the owned slice (owned local dofs carry
+    // gids gid_offset + i, the DistCsr row partition), then a halo
+    // exchange refreshes the ghosts.
+    amg::DistAmg amg(c, op.assemble_dist(c));
+    const std::size_t no = static_cast<std::size_t>(m.n_owned);
+    std::vector<double> bo(no), xo(no);
+    la::LinOp pre = [&](std::span<const double> x, std::span<double> y) {
+      std::copy(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(no),
+                bo.begin());
+      std::fill(xo.begin(), xo.end(), 0.0);
+      amg.vcycle(c, bo, xo);
+      std::copy(xo.begin(), xo.end(), y.begin());
+      m.exchange(c, y);
     };
-    if (c.size() > 1) return;  // the shortcut above is serial-only
     std::vector<double> b(static_cast<std::size_t>(m.n_local), 1.0);
     for (std::int64_t i = 0; i < m.n_local; ++i)
       if (m.dof_boundary[static_cast<std::size_t>(i)]) b[static_cast<std::size_t>(i)] = 0.0;
