@@ -213,7 +213,7 @@ DistAmg::DistAmg(par::Comm& comm, la::DistCsr a) {
     L.res.resize(static_cast<std::size_t>(L.a.owned_rows()));
     L.bc.resize(static_cast<std::size_t>(L.p.owned_cols()));
     L.xc.resize(static_cast<std::size_t>(L.p.owned_cols()));
-    L.ghost.resize(L.a.plan().num_ghosts());
+    L.ghost.resize(L.a.ghost_gids().size());
   }
   // Replicates the (tiny) coarsest operator for the direct solve; shared
   // with refresh_numeric.

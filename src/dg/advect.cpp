@@ -18,12 +18,6 @@ using octree::SfcKey;
 
 constexpr double kNudge = 1e-6;  // doubled-coordinate units
 
-struct WireOctant {
-  std::int32_t tree;
-  coord_t x, y, z;
-  std::int32_t level;
-};
-
 // LSERK(5,4) coefficients (Carpenter & Kennedy).
 constexpr double kRkA[5] = {0.0, -567301805773.0 / 1357537059087.0,
                             -2404267990393.0 / 2016746695238.0,
@@ -88,9 +82,9 @@ DgAdvection::DgAdvection(par::Comm& comm, const Forest& forest, int order,
     combined_slot_.push_back(s);
   }
 
-  // Send plan: the mirror of ghost_layer's routing.
+  // Send lists: the mirror of ghost_layer's routing.
   const int p = comm.size();
-  send_plan_.assign(static_cast<std::size_t>(p), {});
+  halo_.send_idx.assign(static_cast<std::size_t>(p), {});
   {
     std::vector<std::vector<std::int32_t>> raw(static_cast<std::size_t>(p));
     Octant n;
@@ -113,7 +107,7 @@ DgAdvection::DgAdvection(par::Comm& comm, const Forest& forest, int order,
                                 elements_[static_cast<std::size_t>(b)]);
       });
       v.erase(std::unique(v.begin(), v.end()), v.end());
-      send_plan_[static_cast<std::size_t>(r)] = std::move(v);
+      halo_.send_idx[static_cast<std::size_t>(r)] = std::move(v);
     }
   }
 
@@ -199,23 +193,21 @@ DgAdvection::DgAdvection(par::Comm& comm, const Forest& forest, int order,
   // (Each rank sends the octants in its send order; we match them to our
   // ghost table once, so value exchanges are raw doubles afterwards.)
   {
-    std::vector<std::vector<WireOctant>> out(static_cast<std::size_t>(p));
+    std::vector<std::vector<octree::WireOctant>> out(static_cast<std::size_t>(p));
     for (int r = 0; r < p; ++r)
-      for (std::int32_t e : send_plan_[static_cast<std::size_t>(r)]) {
-        const Octant& o = elements_[static_cast<std::size_t>(e)];
+      for (std::int32_t e : halo_.send_idx[static_cast<std::size_t>(r)])
         out[static_cast<std::size_t>(r)].push_back(
-            WireOctant{o.tree, o.x, o.y, o.z, o.level});
-      }
-    std::vector<std::vector<WireOctant>> in = comm.alltoallv(out);
-    recv_map_.assign(static_cast<std::size_t>(p), {});
+            octree::WireOctant(elements_[static_cast<std::size_t>(e)]));
+    std::vector<std::vector<octree::WireOctant>> in = comm.alltoallv(out);
+    halo_.recv_idx.assign(static_cast<std::size_t>(p), {});
     for (int r = 0; r < p; ++r)
-      for (const WireOctant& w : in[static_cast<std::size_t>(r)]) {
-        const Octant o{w.tree, w.x, w.y, w.z, static_cast<std::int8_t>(w.level)};
+      for (const octree::WireOctant& w : in[static_cast<std::size_t>(r)]) {
+        const Octant o = w.octant();
         auto it = std::lower_bound(ghosts_.begin(), ghosts_.end(), o,
                                    octree::sfc_less);
         if (it == ghosts_.end() || !(*it == o))
           throw std::runtime_error("DgAdvection: ghost handshake mismatch");
-        recv_map_[static_cast<std::size_t>(r)].push_back(
+        halo_.recv_idx[static_cast<std::size_t>(r)].push_back(
             static_cast<std::int32_t>(it - ghosts_.begin()));
       }
   }
@@ -231,32 +223,6 @@ void DgAdvection::derivatives(std::span<const double> u,
     kernel_.apply_tensor(u, dx, dy, dz);
     kernel_flops_ += kernel_.flops_tensor();
   }
-}
-
-std::vector<double> DgAdvection::exchange_ghost_values(
-    par::Comm& comm, std::span<const double> c) const {
-  const int p = comm.size();
-  const std::int64_t n3 = nodes_per_elem();
-  std::vector<std::vector<double>> out(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r)
-    for (std::int32_t e : send_plan_[static_cast<std::size_t>(r)])
-      out[static_cast<std::size_t>(r)].insert(
-          out[static_cast<std::size_t>(r)].end(), c.begin() + e * n3,
-          c.begin() + (e + 1) * n3);
-  std::vector<std::vector<double>> in = comm.alltoallv(out);
-  std::vector<double> ghosts(ghosts_.size() * static_cast<std::size_t>(n3), 0.0);
-  for (int r = 0; r < p; ++r) {
-    const auto& map = recv_map_[static_cast<std::size_t>(r)];
-    for (std::size_t k = 0; k < map.size(); ++k)
-      std::copy(in[static_cast<std::size_t>(r)].begin() +
-                    static_cast<std::ptrdiff_t>(k * static_cast<std::size_t>(n3)),
-                in[static_cast<std::size_t>(r)].begin() +
-                    static_cast<std::ptrdiff_t>((k + 1) * static_cast<std::size_t>(n3)),
-                ghosts.begin() + static_cast<std::ptrdiff_t>(
-                                     static_cast<std::size_t>(map[k]) *
-                                     static_cast<std::size_t>(n3)));
-  }
-  return ghosts;
 }
 
 bool DgAdvection::locate(std::int32_t tree, std::array<double, 3> d2,
@@ -353,9 +319,10 @@ std::array<double, 3> DgAdvection::node_xyz(std::int64_t e,
 
 void DgAdvection::rhs(par::Comm& comm, std::span<const double> c, double t,
                       std::span<double> out) const {
-  const std::vector<double> ghosts = exchange_ghost_values(comm, c);
   const std::int64_t ne = num_local_elements();
   const std::int64_t n3 = nodes_per_elem();
+  std::vector<double> ghosts(ghosts_.size() * static_cast<std::size_t>(n3), 0.0);
+  halo_.forward<double>(comm, c, ghosts, static_cast<int>(n3));
   const std::int64_t n1 = kernel_.n1d();
   const LglRule& rule = kernel_.rule();
   const double w0 = rule.weights.front();

@@ -15,7 +15,7 @@
 #include "dg/kernels.hpp"
 #include "forest/forest.hpp"
 #include "octree/linear_octree.hpp"
-#include "par/comm.hpp"
+#include "par/halo.hpp"
 
 namespace alps::dg {
 
@@ -83,8 +83,6 @@ class DgAdvection {
   bool locate(std::int32_t tree, std::array<double, 3> doubled, Located& out) const;
   double evaluate(const Located& loc, std::span<const double> c,
                   std::span<const double> ghosts) const;
-  std::vector<double> exchange_ghost_values(par::Comm& comm,
-                                            std::span<const double> c) const;
 
   void derivatives(std::span<const double> u, std::span<double> dx,
                    std::span<double> dy, std::span<double> dz) const;
@@ -99,8 +97,9 @@ class DgAdvection {
   std::vector<Octant> combined_;       // local + ghost, SFC-sorted
   std::vector<std::int64_t> combined_slot_;  // -> local index or ne+ghost idx
   std::vector<Octant> ghosts_;
-  std::vector<std::vector<std::int32_t>> send_plan_;  // per rank: local elems
-  std::vector<std::vector<std::int32_t>> recv_map_;   // per rank: ghost slots
+  // Ghost element values, nodes_per_elem() doubles per element: send_idx
+  // lists local elements, recv_idx slots of ghosts_.
+  par::HaloPlan halo_;
 
   // Per element-node data, element-major.
   std::vector<double> xyz_;     // ne * n3 * 3

@@ -14,33 +14,6 @@ struct RowEntry {
 
 }  // namespace
 
-GhostExchange::GhostExchange(par::Comm& comm,
-                             std::span<const std::int64_t> ghost_gids,
-                             std::span<const std::int64_t> offsets) {
-  const int p = comm.size();
-  send_idx_.assign(static_cast<std::size_t>(p), {});
-  recv_idx_.assign(static_cast<std::size_t>(p), {});
-  num_ghosts_ = ghost_gids.size();
-  const std::int64_t lo = offsets[static_cast<std::size_t>(comm.rank())];
-
-  // Each ghost slot asks its owner for one owned entry; the alltoallv of
-  // requested gids tells every owner which entries to pack per neighbor.
-  std::vector<std::vector<std::int64_t>> want(static_cast<std::size_t>(p));
-  for (std::size_t i = 0; i < ghost_gids.size(); ++i) {
-    const int owner = owner_of(offsets, ghost_gids[i]);
-    if (owner == comm.rank())
-      throw std::logic_error("GhostExchange: ghost gid owned locally");
-    want[static_cast<std::size_t>(owner)].push_back(ghost_gids[i]);
-    recv_idx_[static_cast<std::size_t>(owner)].push_back(
-        static_cast<std::int32_t>(i));
-  }
-  const std::vector<std::vector<std::int64_t>> asked = comm.alltoallv(want);
-  for (int r = 0; r < p; ++r)
-    for (std::int64_t gid : asked[static_cast<std::size_t>(r)])
-      send_idx_[static_cast<std::size_t>(r)].push_back(
-          static_cast<std::int32_t>(gid - lo));
-}
-
 std::vector<std::int64_t> DistCsr::uniform_offsets(int nranks, std::int64_t n) {
   std::vector<std::int64_t> off(static_cast<std::size_t>(nranks) + 1, 0);
   for (int r = 0; r < nranks; ++r)
@@ -59,8 +32,16 @@ DistCsr DistCsr::from_triplets(par::Comm& comm,
       col_offsets.size() != static_cast<std::size_t>(p) + 1)
     throw std::invalid_argument("DistCsr::from_triplets: offsets must be P+1");
 
-  // Route every triplet to the owner of its row.
+  // Route every triplet to the owner of its row. Every buffer below is
+  // sized by a count pass first: these are the largest arrays of an AMG
+  // assembly, and growing them by doubling would leave the heap peak to
+  // the allocator.
+  std::vector<std::size_t> count(static_cast<std::size_t>(p), 0);
+  for (const Triplet& t : triplets)
+    ++count[static_cast<std::size_t>(owner_of(row_offsets, t.row))];
   std::vector<std::vector<Triplet>> outbox(static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r)
+    outbox[static_cast<std::size_t>(r)].reserve(count[static_cast<std::size_t>(r)]);
   for (const Triplet& t : triplets)
     outbox[static_cast<std::size_t>(owner_of(row_offsets, t.row))].push_back(t);
   triplets.clear();
@@ -78,12 +59,23 @@ DistCsr DistCsr::from_triplets(par::Comm& comm,
   m.col_hi_ = m.col_offsets_[me + 1];
 
   // Split owned rows into the owned-column and ghost-column blocks.
-  std::vector<Triplet> diag_t, offd_t;
-  std::vector<std::int64_t> ghosts;
+  std::size_t n_diag = 0, n_offd = 0;
   for (const auto& batch : inbox)
     for (const Triplet& t : batch) {
       if (t.row < m.row_lo_ || t.row >= m.row_hi_)
         throw std::out_of_range("DistCsr::from_triplets: misrouted row");
+      if (t.col >= m.col_lo_ && t.col < m.col_hi_)
+        ++n_diag;
+      else
+        ++n_offd;
+    }
+  std::vector<Triplet> diag_t, offd_t;
+  std::vector<std::int64_t> ghosts;
+  diag_t.reserve(n_diag);
+  offd_t.reserve(n_offd);
+  ghosts.reserve(n_offd);
+  for (const auto& batch : inbox)
+    for (const Triplet& t : batch) {
       if (t.col >= m.col_lo_ && t.col < m.col_hi_)
         diag_t.push_back(Triplet{t.row - m.row_lo_, t.col - m.col_lo_, t.val});
       else
@@ -106,7 +98,7 @@ DistCsr DistCsr::from_triplets(par::Comm& comm,
   m.offd_ = Csr::from_triplets(m.owned_rows(),
                                static_cast<std::int64_t>(m.ghost_gids_.size()),
                                std::move(offd_t));
-  m.plan_ = GhostExchange(comm, m.ghost_gids_, m.col_offsets_);
+  m.plan_ = par::HaloPlan::from_ghost_gids(comm, m.ghost_gids_, m.col_offsets_);
   return m;
 }
 
@@ -152,7 +144,7 @@ void DistCsr::matvec_transpose(par::Comm& comm, std::span<const double> x,
           offd_.colidx()[static_cast<std::size_t>(k)])] +=
           offd_.values()[static_cast<std::size_t>(k)] * xv;
   }
-  plan_.reverse_add<double>(comm, ghost_acc_, y);
+  plan_.reverse<double>(comm, ghost_acc_, y);
 }
 
 void DistCsr::fetch_rows(par::Comm& comm,

@@ -290,7 +290,7 @@ Mesh extract_mesh_reference(par::Comm& comm, const forest::Forest& forest,
   // Resolve remote gids: owners answer lookups in request order.
   std::vector<std::vector<WireNodeKey>> incoming = comm.alltoallv(requests);
   std::vector<std::vector<std::int64_t>> replies(static_cast<std::size_t>(p));
-  m.send_idx.assign(static_cast<std::size_t>(p), {});
+  m.halo.send_idx.assign(static_cast<std::size_t>(p), {});
   for (int r = 0; r < p; ++r) {
     for (const WireNodeKey& wk : incoming[static_cast<std::size_t>(r)]) {
       const NodeKey k{wk.tree, wk.x, wk.y, wk.z};
@@ -301,7 +301,7 @@ Mesh extract_mesh_reference(par::Comm& comm, const forest::Forest& forest,
       const std::int32_t idx =
           static_cast<std::int32_t>(it - owned_keys.begin());
       replies[static_cast<std::size_t>(r)].push_back(m.gid_offset + idx);
-      m.send_idx[static_cast<std::size_t>(r)].push_back(idx);
+      m.halo.send_idx[static_cast<std::size_t>(r)].push_back(idx);
     }
   }
   std::vector<std::vector<std::int64_t>> resolved = comm.alltoallv(replies);
@@ -311,14 +311,14 @@ Mesh extract_mesh_reference(par::Comm& comm, const forest::Forest& forest,
   m.dof_gids.resize(owned_keys.size());
   for (std::size_t i = 0; i < owned_keys.size(); ++i)
     m.dof_gids[i] = m.gid_offset + static_cast<std::int64_t>(i);
-  m.recv_idx.assign(static_cast<std::size_t>(p), {});
+  m.halo.recv_idx.assign(static_cast<std::size_t>(p), {});
   for (int r = 0; r < p; ++r) {
     const auto& req = requests[static_cast<std::size_t>(r)];
     const auto& ans = resolved[static_cast<std::size_t>(r)];
     if (req.size() != ans.size())
       throw std::runtime_error("extract_mesh: reply size mismatch");
     for (std::size_t i = 0; i < req.size(); ++i) {
-      m.recv_idx[static_cast<std::size_t>(r)].push_back(
+      m.halo.recv_idx[static_cast<std::size_t>(r)].push_back(
           static_cast<std::int32_t>(m.dof_keys.size()));
       m.dof_keys.push_back(
           NodeKey{req[i].tree, req[i].x, req[i].y, req[i].z});
@@ -719,7 +719,7 @@ Mesh extract_mesh(par::Comm& comm, const forest::Forest& forest,
 
     std::vector<std::vector<WireNodeKey>> incoming = comm.alltoallv(requests);
     std::vector<std::vector<std::int64_t>> replies(static_cast<std::size_t>(p));
-    m.send_idx.assign(static_cast<std::size_t>(p), {});
+    m.halo.send_idx.assign(static_cast<std::size_t>(p), {});
     for (int r = 0; r < p; ++r) {
       for (const WireNodeKey& wk : incoming[static_cast<std::size_t>(r)]) {
         const NodeKey k{wk.tree, wk.x, wk.y, wk.z};
@@ -730,7 +730,7 @@ Mesh extract_mesh(par::Comm& comm, const forest::Forest& forest,
         const std::int32_t idx =
             static_cast<std::int32_t>(it - owned_keys.begin());
         replies[static_cast<std::size_t>(r)].push_back(m.gid_offset + idx);
-        m.send_idx[static_cast<std::size_t>(r)].push_back(idx);
+        m.halo.send_idx[static_cast<std::size_t>(r)].push_back(idx);
       }
     }
     std::vector<std::vector<std::int64_t>> resolved = comm.alltoallv(replies);
@@ -743,7 +743,7 @@ Mesh extract_mesh(par::Comm& comm, const forest::Forest& forest,
       cache.entries[static_cast<std::size_t>(owned_ids[i])].dof =
           static_cast<std::int32_t>(i);
     }
-    m.recv_idx.assign(static_cast<std::size_t>(p), {});
+    m.halo.recv_idx.assign(static_cast<std::size_t>(p), {});
     for (int r = 0; r < p; ++r) {
       const auto& req = requests[static_cast<std::size_t>(r)];
       const auto& ans = resolved[static_cast<std::size_t>(r)];
@@ -751,7 +751,7 @@ Mesh extract_mesh(par::Comm& comm, const forest::Forest& forest,
         throw std::runtime_error("extract_mesh: reply size mismatch");
       for (std::size_t i = 0; i < req.size(); ++i) {
         const std::int32_t li = static_cast<std::int32_t>(m.dof_keys.size());
-        m.recv_idx[static_cast<std::size_t>(r)].push_back(li);
+        m.halo.recv_idx[static_cast<std::size_t>(r)].push_back(li);
         m.dof_keys.push_back(
             NodeKey{req[i].tree, req[i].x, req[i].y, req[i].z});
         m.dof_gids.push_back(ans[i]);

@@ -6,16 +6,6 @@
 
 namespace alps::mesh {
 
-namespace {
-
-struct WireOctant {
-  std::int32_t tree;
-  octree::coord_t x, y, z;
-  std::int32_t level;
-};
-
-}  // namespace
-
 std::vector<Octant> ghost_layer(par::Comm& comm, const LinearOctree& tree,
                                 const Connectivity& conn) {
   const int p = comm.size();
@@ -33,24 +23,21 @@ std::vector<Octant> ghost_layer(par::Comm& comm, const LinearOctree& tree,
       }
     }
   }
-  std::vector<std::vector<WireOctant>> wire(static_cast<std::size_t>(p));
+  std::vector<std::vector<octree::WireOctant>> wire(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
     auto& v = outbox[static_cast<std::size_t>(r)];
     octree::radix_sort_unique_sfc(v);
     auto& w = wire[static_cast<std::size_t>(r)];
     w.reserve(v.size());
-    for (const Octant& o : v)
-      w.push_back(WireOctant{o.tree, o.x, o.y, o.z, o.level});
+    for (const Octant& o : v) w.emplace_back(o);
   }
-  std::vector<std::vector<WireOctant>> inbox = comm.alltoallv(wire);
+  std::vector<std::vector<octree::WireOctant>> inbox = comm.alltoallv(wire);
   std::vector<Octant> ghosts;
   std::size_t total = 0;
   for (const auto& v : inbox) total += v.size();
   ghosts.reserve(total);
   for (const auto& v : inbox)
-    for (const WireOctant& w : v)
-      ghosts.push_back(
-          Octant{w.tree, w.x, w.y, w.z, static_cast<std::int8_t>(w.level)});
+    for (const octree::WireOctant& w : v) ghosts.push_back(w.octant());
   octree::radix_sort_unique_sfc(ghosts);
   return ghosts;
 }

@@ -19,6 +19,7 @@
 #include "forest/forest.hpp"
 #include "mesh/ghost.hpp"
 #include "obs/mem.hpp"
+#include "par/halo.hpp"
 
 namespace alps::mesh {
 
@@ -85,19 +86,25 @@ class Mesh {
   std::vector<std::uint8_t> dof_boundary;        // bitmask of physical faces
 
   // ---- ghost-dof communication pattern -----------------------------------
-  // One slot per rank (empty vectors for non-neighbors).
-  std::vector<std::vector<std::int32_t>> send_idx;  // owned indices to send
-  std::vector<std::vector<std::int32_t>> recv_idx;  // ghost indices to fill
+  // halo.send_idx[r]: owned dof indices rank r ghosts; halo.recv_idx[r]:
+  // ghost dof indices rank r owns. Both sides of every halo operation are
+  // the same n_local * ncomp `values` array (node-major).
+  par::HaloPlan halo;
 
   /// Overwrite the ghost entries of `values` (n_local * ncomp doubles,
   /// node-major) with the owners' values. Collective.
-  void exchange(par::Comm& comm, std::span<double> values, int ncomp = 1) const;
+  void exchange(par::Comm& comm, std::span<double> values,
+                int ncomp = 1) const {
+    halo.forward<double>(comm, values, values, ncomp);
+  }
 
   /// Add this rank's ghost-slot contributions into the owners' entries and
   /// zero the ghost slots; after the call owners hold the global sums and
   /// a subsequent exchange() makes all copies consistent. Collective.
   void accumulate(par::Comm& comm, std::span<double> values,
-                  int ncomp = 1) const;
+                  int ncomp = 1) const {
+    halo.reverse<double>(comm, values, values, ncomp);
+  }
 
   // ---- split-phase halo operations ---------------------------------------
   // accumulate() and exchange() are start + finish back to back. The split
@@ -105,22 +112,24 @@ class Mesh {
   // element operator computes its boundary elements, posts the ghost
   // accumulate with accumulate_start, streams the interior elements while
   // the messages are in flight, then completes with accumulate_finish.
-  // Sends go over the buffered p2p layer, so *_start returns without
-  // waiting on any other rank; *_finish blocks until the matching messages
-  // arrive. Packing buffers and the neighbor lists are precomputed and
-  // reused — no per-call allocations on the Krylov hot path.
-  //
-  // At most one operation may be in flight per Mesh at a time; misuse
-  // (double start, finish without start, or finishing a different
-  // operation than was started) throws std::logic_error.
+  // par::HaloPlan documents the buffering and the misuse checks (one
+  // operation in flight per mesh; std::logic_error otherwise).
   void accumulate_start(par::Comm& comm, std::span<double> values,
-                        int ncomp = 1) const;
+                        int ncomp = 1) const {
+    halo.reverse_begin<double>(comm, values, ncomp);
+  }
   void accumulate_finish(par::Comm& comm, std::span<double> values,
-                         int ncomp = 1) const;
+                         int ncomp = 1) const {
+    halo.reverse_finish<double>(comm, values, ncomp);
+  }
   void exchange_start(par::Comm& comm, std::span<double> values,
-                      int ncomp = 1) const;
+                      int ncomp = 1) const {
+    halo.forward_begin<double>(comm, values, ncomp);
+  }
   void exchange_finish(par::Comm& comm, std::span<double> values,
-                       int ncomp = 1) const;
+                       int ncomp = 1) const {
+    halo.forward_finish<double>(comm, values, ncomp);
+  }
 
   /// Number of local elements.
   std::int64_t num_elements() const {
@@ -147,33 +156,9 @@ class Mesh {
     m.topology = obs::vec_bytes(elements) + obs::vec_bytes(corners);
     m.dofs = obs::vec_bytes(dof_keys) + obs::vec_bytes(dof_gids) +
              obs::vec_bytes(dof_coords) + obs::vec_bytes(dof_boundary);
-    m.halo = obs::vec_bytes(send_idx) + obs::vec_bytes(recv_idx) +
-             obs::vec_bytes(halo_owner_ranks_) +
-             obs::vec_bytes(halo_user_ranks_) + obs::vec_bytes(halo_out_);
-    for (const auto& v : send_idx) m.halo += obs::vec_bytes(v);
-    for (const auto& v : recv_idx) m.halo += obs::vec_bytes(v);
-    for (const auto& v : halo_out_) m.halo += obs::vec_bytes(v);
+    m.halo = halo.memory_bytes();
     return m;
   }
-
- private:
-  enum class HaloOp : std::uint8_t { kNone, kAccumulate, kExchange };
-
-  void build_halo_plan() const;
-  void check_start(HaloOp op) const;
-  void check_finish(HaloOp op, int ncomp) const;
-
-  // Lazily-built neighbor lists: ranks that own our ghosts (recv_idx
-  // non-empty) and ranks that ghost our owned dofs (send_idx non-empty),
-  // plus reusable per-neighbor packing buffers. Mutable because the halo
-  // runs inside logically-const hot paths; each rank owns its Mesh, so
-  // there is no cross-thread access.
-  mutable bool halo_plan_built_ = false;
-  mutable std::vector<int> halo_owner_ranks_;  // recv_idx[r] non-empty
-  mutable std::vector<int> halo_user_ranks_;   // send_idx[r] non-empty
-  mutable std::vector<std::vector<double>> halo_out_;
-  mutable HaloOp halo_inflight_ = HaloOp::kNone;
-  mutable int halo_ncomp_ = 0;
 };
 
 /// Build the mesh from a face+edge balanced forest. Collective. The

@@ -681,7 +681,7 @@ std::string chrome_trace_json() {
       out += "}";
     }
   }
-  // Perfetto flow arrows: "s" on the sending rank's *_start span, "f"
+  // Perfetto flow arrows: "s" on the sending rank's *_begin, "f"
   // (binding to the enclosing slice) on the receiving rank's *_finish
   // span. Matching requires identical name/cat plus the shared id.
   for (std::size_t r = 0; r < s.slots.size(); ++r) {

@@ -171,7 +171,7 @@ std::uint64_t self_memory_bytes();
 //   collective_s     blocked in collective staging barriers (imbalance).
 // The split-phase halo marks (overlap_mark_*) additionally measure, per
 // phase, how much of the halo round-trip the caller covered with local
-// compute between *_start and *_finish — the achieved-overlap metric of
+// compute between *_begin and *_finish — the achieved-overlap metric of
 // the PR 5 split apply. Everything here is a relaxed-atomic no-op unless
 // ALPS_ANALYSIS is on (default: on; set ALPS_ANALYSIS=0 to remove the
 // two clock reads per receive).
@@ -221,8 +221,8 @@ std::vector<PhaseWaitSample> wait_samples();
 // ---- cross-rank flow events -------------------------------------------
 //
 // Perfetto flow arrows linking the split-phase halo: the sender records a
-// flow start ("s") inside its *_start span, the receiver records the
-// matching finish ("f") inside its *_finish span. Ids are derived from a
+// flow start ("s") in par::HaloPlan's *_begin, the receiver records the
+// matching finish ("f") in its *_finish. Ids are derived from a
 // per-(channel, src, dst) sequence counter on both sides — the mailbox
 // delivers same-channel messages FIFO, so the k-th send matches the k-th
 // receive and both ends compute the same id without shipping it.
@@ -233,13 +233,12 @@ struct FlowEvent {
   bool start = false;
 };
 
-/// Flow channels (part of the flow id, so arrows of different operations
-/// can never cross-link).
+/// Flow channels (part of the flow id, so arrows of the two halo
+/// directions can never cross-link): par::HaloPlan's forward (owners to
+/// ghosts) and reverse (ghosts to owners).
 enum : int {
-  kFlowHaloAccumulate = 0,
-  kFlowHaloExchange = 1,
-  kFlowGhostForward = 2,
-  kFlowGhostReverse = 3,
+  kFlowHaloForward = 0,
+  kFlowHaloReverse = 1,
 };
 
 /// Record one flow endpoint with `peer` on `channel`. `outgoing` is true

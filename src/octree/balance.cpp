@@ -9,19 +9,6 @@ namespace alps::octree {
 
 namespace {
 
-struct ReqOctant {
-  std::int32_t tree;
-  coord_t x, y, z;
-  std::int32_t level;
-};
-
-ReqOctant pack(const Octant& o) {
-  return ReqOctant{o.tree, o.x, o.y, o.z, o.level};
-}
-Octant unpack(const ReqOctant& r) {
-  return Octant{r.tree, r.x, r.y, r.z, static_cast<std::int8_t>(r.level)};
-}
-
 bool default_neighbor(const Octant& o, int dir, Octant& out) {
   return neighbor_inside(o, dir, out);
 }
@@ -52,17 +39,17 @@ std::vector<Octant> route_requirements(par::Comm& comm,
         outbox[static_cast<std::size_t>(owner)].push_back(q);
     }
   }
-  std::vector<std::vector<ReqOctant>> wire(static_cast<std::size_t>(p));
+  std::vector<std::vector<WireOctant>> wire(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
     auto& v = outbox[static_cast<std::size_t>(r)];
     radix_sort_unique_sfc(v);
     auto& w = wire[static_cast<std::size_t>(r)];
     w.reserve(v.size());
-    for (const Octant& o : v) w.push_back(pack(o));
+    for (const Octant& o : v) w.emplace_back(o);
   }
-  std::vector<std::vector<ReqOctant>> inbox = comm.alltoallv(wire);
+  std::vector<std::vector<WireOctant>> inbox = comm.alltoallv(wire);
   for (const auto& v : inbox)
-    for (const ReqOctant& r : v) reqs.push_back(unpack(r));
+    for (const WireOctant& w : v) reqs.push_back(w.octant());
   radix_sort_unique_sfc(reqs);
   return reqs;
 }

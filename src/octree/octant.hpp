@@ -11,6 +11,7 @@
 #include <compare>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 namespace alps::octree {
 
@@ -62,6 +63,26 @@ struct Octant {
 
   std::string to_string() const;
 };
+
+/// An octant as it goes into a message (balance requirements, partition
+/// transfer, ghost layers, DG handshakes). Octant's int8 `level` leaves
+/// three padding bytes whose contents are indeterminate; sending raw
+/// Octants would put uninitialized bytes on the wire. Widening `level` to
+/// int32 makes the struct padding-free, so every byte sent is set.
+struct WireOctant {
+  std::int32_t tree = 0;
+  coord_t x = 0, y = 0, z = 0;
+  std::int32_t level = 0;
+
+  WireOctant() = default;
+  explicit WireOctant(const Octant& o)
+      : tree(o.tree), x(o.x), y(o.y), z(o.z), level(o.level) {}
+  Octant octant() const {
+    return Octant{tree, x, y, z, static_cast<std::int8_t>(level)};
+  }
+};
+static_assert(std::has_unique_object_representations_v<WireOctant>,
+              "WireOctant must have no padding bytes");
 
 /// Pre-order (ancestors first) space-filling-curve comparison.
 /// Leaves of a complete octree never overlap, so among leaves this is the

@@ -9,16 +9,6 @@
 
 namespace alps::octree {
 
-namespace {
-
-struct WireOctant {
-  std::int32_t tree;
-  coord_t x, y, z;
-  std::int32_t level;
-};
-
-}  // namespace
-
 void partition(par::Comm& comm, LinearOctree& tree,
                std::span<LeafPayload*> payloads,
                std::span<const double> weights) {
@@ -74,7 +64,7 @@ void partition(par::Comm& comm, LinearOctree& tree,
     for (std::int64_t i = 0; i < n_local; ++i) {
       const Octant& o = tree.leaves()[static_cast<std::size_t>(i)];
       out_oct[static_cast<std::size_t>(dest[static_cast<std::size_t>(i)])]
-          .push_back(WireOctant{o.tree, o.x, o.y, o.z, o.level});
+          .emplace_back(o);
     }
     in_oct = comm.alltoallv(out_oct);
   }
@@ -100,9 +90,7 @@ void partition(par::Comm& comm, LinearOctree& tree,
   // Concatenating in source-rank order preserves global SFC order.
   std::vector<Octant> leaves;
   for (const auto& v : in_oct)
-    for (const WireOctant& w : v)
-      leaves.push_back(
-          Octant{w.tree, w.x, w.y, w.z, static_cast<std::int8_t>(w.level)});
+    for (const WireOctant& w : v) leaves.push_back(w.octant());
   tree.mutable_leaves() = std::move(leaves);
   tree.update_ranges(comm);
 }

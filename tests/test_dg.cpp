@@ -179,6 +179,31 @@ TEST_P(DgRanks, MassConservedOnPeriodicMesh) {
   });
 }
 
+TEST_P(DgRanks, StepExchangesGhostsPointToPointWithoutAlltoall) {
+  alps::par::run(GetParam(), [](Comm& c) {
+    Forest f = Forest::new_uniform(
+        c, Connectivity::brick(2, 2, 1, true, true, true), 1);
+    DgAdvection dg(c, f, 2, dg::brick_geometry(f.connectivity()),
+                   [](const std::array<double, 3>&, double) {
+                     return std::array<double, 3>{0.7, 0.4, 0.0};
+                   });
+    std::vector<double> u = dg.interpolate(
+        [](const std::array<double, 3>& x) { return x[0] + 2.0 * x[1]; });
+    // Barriers fence the counter reads: setup's collectives are done
+    // before the first read, and every rank has stepped before the last.
+    c.barrier();
+    const std::uint64_t a2a = c.stats().alltoall_calls.load();
+    const std::uint64_t msgs = c.stats().p2p_messages.load();
+    c.barrier();
+    dg.step(c, u, 0.0, 1e-3);
+    c.barrier();
+    EXPECT_EQ(c.stats().alltoall_calls.load(), a2a);
+    if (c.size() > 1) {
+      EXPECT_GT(c.stats().p2p_messages.load(), msgs);
+    }
+  });
+}
+
 TEST_P(DgRanks, NonconformingMeshStaysStableAndAccurate) {
   alps::par::run(GetParam(), [](Comm& c) {
     // Refine half the domain: 2:1 faces appear; advection across them

@@ -1,6 +1,6 @@
 // Tests for the distributed owned-row matrix stack (src/la/dist_csr) and
-// the distributed AMG hierarchy (src/amg/dist_amg): ghost-plan
-// construction, matvec / transpose-matvec against a replicated-CSR
+// the distributed AMG hierarchy (src/amg/dist_amg): matvec /
+// transpose-matvec against a replicated-CSR
 // reference on random partitions, distributed assembly equivalence, and
 // Poisson AMG convergence mirroring tests/test_amg.cpp.
 
@@ -81,35 +81,6 @@ std::vector<std::int64_t> random_offsets(int p, std::int64_t n,
   for (int r = 1; r < p; ++r) off[static_cast<std::size_t>(r)] = cut(rng);
   std::sort(off.begin(), off.end());
   return off;
-}
-
-TEST(GhostExchange, PlanRoutesOwnedValuesToGhostSlots) {
-  alps::par::run(3, [](Comm& c) {
-    // Partition [0, 9) into thirds; every rank ghosts one entry from each
-    // other rank: rank r needs gids {(r+1)*3, (r+2)*3 mod 9} (sorted).
-    const std::vector<std::int64_t> off = {0, 3, 6, 9};
-    std::vector<std::int64_t> ghosts;
-    for (int r = 0; r < 3; ++r)
-      if (r != c.rank()) ghosts.push_back(3 * r);
-    la::GhostExchange plan(c, ghosts, off);
-    EXPECT_EQ(plan.num_ghosts(), 2u);
-    // Owned values are gid * 10; ghosts must come back as owner values.
-    std::vector<double> owned = {0, 0, 0};
-    for (int i = 0; i < 3; ++i) owned[static_cast<std::size_t>(i)] =
-        static_cast<double>((off[static_cast<std::size_t>(c.rank())] + i) * 10);
-    std::vector<double> gv(2, -1.0);
-    plan.forward<double>(c, owned, gv);
-    for (std::size_t i = 0; i < ghosts.size(); ++i)
-      EXPECT_DOUBLE_EQ(gv[i], static_cast<double>(ghosts[i] * 10));
-    // reverse_add: each ghost slot contributes 1 to its owner; every
-    // owned boundary entry is ghosted by the two other ranks.
-    std::vector<double> contrib(2, 1.0);
-    std::vector<double> acc = {0, 0, 0};
-    plan.reverse_add<double>(c, contrib, acc);
-    EXPECT_DOUBLE_EQ(acc[0], 2.0);  // gid 3*rank ghosted by both others
-    EXPECT_DOUBLE_EQ(acc[1], 0.0);
-    EXPECT_DOUBLE_EQ(acc[2], 0.0);
-  });
 }
 
 class DistCsrRanks : public ::testing::TestWithParam<int> {};

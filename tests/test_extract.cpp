@@ -62,8 +62,8 @@ void expect_mesh_equal(const Mesh& a, const Mesh& b) {
       }
     }
 
-  EXPECT_EQ(a.send_idx, b.send_idx);
-  EXPECT_EQ(a.recv_idx, b.recv_idx);
+  EXPECT_EQ(a.halo.send_idx, b.halo.send_idx);
+  EXPECT_EQ(a.halo.recv_idx, b.halo.recv_idx);
 }
 
 // Refine every leaf whose center is within sqrt(r2) of `center` (in the
